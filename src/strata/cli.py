@@ -246,7 +246,7 @@ def run_sv(cfg: RunConfig) -> list[dict]:
     f = _truncated_gaussian(cfg.r_lattice)
     mass = float(plane_integral(f).real)
     want = cfg.M ** 2 * mass
-    est_c, err = sv_mean_mc(f, cfg.M, n_samples=cfg.samples, seed=cfg.seed)
+    est_c, err = sv_mean_mc(f, cfg.M, n_samples=cfg.samples, seed=seed)
     est = float(np.real(est_c))
     checks = [_check(
         f"transform mean over the moduli space equals "
@@ -345,9 +345,26 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def run_suites(cfg: RunConfig, names: list[str]) -> dict:
-    workers = os.environ.get("STRATA_THREADS", "")
-    max_workers = max(1, int(workers)) if workers else 1
+def _thread_cap() -> int:
+    """Worker cap from ``STRATA_THREADS``; unset or empty means serial.
+
+    Raises
+    ------
+    ValueError
+        If the variable is set to something other than an integer.
+    """
+    raw = os.environ.get("STRATA_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(
+            f"STRATA_THREADS must be an integer, got {raw!r}") from None
+
+
+def run_suites(cfg: RunConfig, names: list[str], max_workers: int = 1
+               ) -> dict:
     results: dict[str, list[dict]] = {}
     if max_workers == 1 or len(names) == 1:
         for name in names:
@@ -488,6 +505,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
+        max_workers = _thread_cap()
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -514,7 +532,7 @@ def main(argv=None) -> int:
     else:
         names = cfg.suite_list()
 
-    report = run_suites(cfg, names)
+    report = run_suites(cfg, names, max_workers)
     if args.command == "sv-verify":
         lines = "".join(json.dumps(c, sort_keys=True) + "\n"
                         for c in report["suites"]["sv"]["checks"])

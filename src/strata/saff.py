@@ -363,10 +363,16 @@ def reduce_to_fundamental(pt: JacobiPoint, max_iter: int = 128
 
     Raises
     ------
+    ValueError
+        If a coordinate is not finite or ``y <= 0``.
     RuntimeError
         If the reduction loop fails to settle within ``max_iter`` steps
-        (cannot happen for valid inputs with ``y > 0``).
+        (cannot happen for valid inputs).
     """
+    if not math.isfinite(pt.x + pt.y + pt.u + pt.v):   # cheap common case
+        for name in ("x", "y", "u", "v"):
+            if not math.isfinite(getattr(pt, name)):
+                raise ValueError(f"point coordinate {name} must be finite")
     if not (pt.y > 0.0):
         raise ValueError("point must have y > 0")
     gamma = SAffElement.identity()

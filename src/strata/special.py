@@ -3,10 +3,18 @@ Hankel-transform machinery used by the coefficient formulas.
 
 Bessel and log-gamma evaluations delegate to scipy; Whittaker functions with
 imaginary second parameter delegate to mpmath (``whitw`` / ``whitm``), which
-handles the oscillatory-decaying regime in arbitrary precision.  The Hankel
-transform of a compactly supported radial profile is computed by adaptive
-quadrature with integrand breakpoints at the Bessel zeros, so oscillatory
-cancellation is resolved explicitly.
+handles the oscillatory-decaying regime in arbitrary precision.
+
+The Hankel transform of a compactly supported radial profile uses a
+fixed-node rule: 24-point Gauss-Legendre panels of equal width on the
+support, about one panel per half-period of the Bessel factor, evaluated as
+one matrix product of Bessel values against the weighted profile values.
+Its error is estimated by doubling the panels until two successive rules
+agree to the requested tolerance; a rule that has not settled by a fixed
+panel cap raises ``RuntimeError`` instead of returning a value.  Panels
+converge fast only on integrands that are smooth inside each panel, so
+profiles must be smooth inside their support; a jump at the support edge
+is harmless, because the panels end there.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 __all__ = [
@@ -49,9 +56,17 @@ def log_gamma(z) -> complex:
     return complex(sp.loggamma(z))
 
 
+_BESSEL_DEDICATED = {0: sp.j0, 1: sp.j1}
+
+
 def bessel_j(k: int, x):
-    """Bessel function of the first kind, integer order (vectorized)."""
-    return sp.jv(k, x)
+    """Bessel function of the first kind, integer order (vectorized).
+
+    Orders 0 and 1 use scipy's dedicated ``j0`` / ``j1``: about ten times
+    faster than the general ``jv``, at the same ~1e-15 absolute accuracy.
+    """
+    fn = _BESSEL_DEDICATED.get(k)
+    return fn(x) if fn is not None else sp.jv(k, x)
 
 
 _MP_DPS = 30
@@ -155,6 +170,47 @@ class RadialProfile:
         return np.where(r <= self.support_radius, vals, 0.0)
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Entries of one block of Bessel values J_k(s r) (16 MiB of float64).
+_BESSEL_BUDGET = 1 << 21
+# Panels past which the doubling estimate gives up: the largest power of two
+# whose nodes still fit one row of the budget.
+_MAX_PANELS = 1 << 16
+
+
+def _hankel_rule(k: int, f0: RadialProfile, s: np.ndarray,
+                 n_panels: int) -> np.ndarray:
+    """Composite Gauss-Legendre rule with ``n_panels`` equal panels on
+    ``[0, R]`` at the frequencies ``s``: one profile call on all nodes, then
+    ``J_k(s r) @ (w r f0(r))`` in blocks of at most ``_BESSEL_BUDGET``
+    entries."""
+    h = f0.support_radius / n_panels
+    r = (h * np.arange(n_panels)[:, None]
+         + 0.5 * h * (_GL_NODES + 1.0)).ravel()
+    g = np.tile(0.5 * h * _GL_WEIGHTS, n_panels) * r * f0(r)
+    rows = max(1, _BESSEL_BUDGET // r.size)
+    out = np.empty(s.size, dtype=complex)
+    for lo in range(0, s.size, rows):
+        out[lo:lo + rows] = bessel_j(k, np.outer(s[lo:lo + rows], r)) @ g
+    return out
+
+
+def _hankel_doubling(k: int, f0: RadialProfile, s: np.ndarray,
+                     n_panels: int, tol: float) -> np.ndarray:
+    """Double the panels from ``n_panels`` until two successive rules agree
+    to ``tol`` at every frequency; return the finer one."""
+    coarse = _hankel_rule(k, f0, s, n_panels)
+    while 2 * n_panels <= _MAX_PANELS:
+        n_panels *= 2
+        fine = _hankel_rule(k, f0, s, n_panels)
+        if np.max(np.abs(fine - coarse)) <= tol:
+            return fine
+        coarse = fine
+    raise RuntimeError(
+        f"Hankel transform did not settle to {tol:g} within {_MAX_PANELS} "
+        f"panels (is the profile smooth inside its support?)")
+
+
 def hankel_transform(k: int, f0: RadialProfile, s, tol: float = 1e-11):
     """Order-k Hankel transform ``integral of f0(r) J_k(s r) r dr``.
 
@@ -163,41 +219,57 @@ def hankel_transform(k: int, f0: RadialProfile, s, tol: float = 1e-11):
     k:
         Bessel order (non-negative integer).
     f0:
-        Compactly supported radial profile.
+        Compactly supported radial profile, smooth on ``[0, R]``; a jump at
+        the support edge ``R`` is fine, one inside it is not.
     s:
         Evaluation frequency (scalar or array, ``s >= 0``).
     tol:
-        Absolute quadrature tolerance per point.
+        Absolute error target per frequency.
 
     Returns
     -------
-    Complex scalar or array of transform values.  The integrand is split at
-    the zeros of ``J_k`` inside the support so the adaptive rule sees one
-    sign lobe at a time.
+    Complex scalar for scalar ``s``, else a complex array of the shape of
+    ``s``.  The integral is a composite 24-node Gauss-Legendre rule on equal
+    panels of ``[0, R]``, about one panel per half-period of ``J_k`` at the
+    largest frequency of each chunk, with the profile called once on all
+    nodes.  The panels are doubled until two successive rules agree to
+    ``tol``, and the finer one is returned.  Frequencies are taken in sorted
+    chunks whose Bessel block stays within a fixed entry budget.
+
+    Raises
+    ------
+    ValueError
+        If a frequency is negative or not finite.
+    RuntimeError
+        If the rules still disagree by more than ``tol`` at 65536 panels,
+        as for a profile that jumps inside its support, or if ``s R``
+        exceeds about 1e5.
     """
-    ss = np.atleast_1d(np.asarray(s, dtype=float))
+    shape = np.shape(s)
+    flat = np.asarray(s, dtype=float).ravel()
+    if not np.all(np.isfinite(flat) & (flat >= 0.0)):
+        raise ValueError("frequency must be finite and non-negative")
+    order = np.argsort(flat)
+    ss = flat[order]
     R = f0.support_radius
-    out = np.empty(ss.shape, dtype=complex)
-    for i, sv in enumerate(ss.ravel()):
-        if sv < 0:
-            raise ValueError("frequency must be non-negative")
-        breaks: list[float] = []
-        if sv * R > math.pi:
-            n_zeros = int(sv * R / math.pi) + 2
-            zeros = sp.jn_zeros(k, n_zeros) / sv
-            breaks = [z for z in zeros if 0.0 < z < R]
-        re = integrate.quad(
-            lambda r: (f0(r) * sp.jv(k, sv * r) * r).real,
-            0.0, R, points=breaks or None, limit=max(50, 10 * len(breaks) + 10),
-            epsabs=tol, epsrel=0.0)[0]
-        im = integrate.quad(
-            lambda r: (f0(r) * sp.jv(k, sv * r) * r).imag,
-            0.0, R, points=breaks or None, limit=max(50, 10 * len(breaks) + 10),
-            epsabs=tol, epsrel=0.0)[0]
-        out.ravel()[i] = re + 1j * im
-    if np.isscalar(s) or np.asarray(s).shape == ():
-        return complex(out.ravel()[0])
-    return out.reshape(np.asarray(s).shape)
+    panels = np.maximum(1, np.ceil(ss * R / math.pi)).astype(np.int64)
+    per_row = 2 * _GL_NODES.size * panels     # nodes of the first doubled rule
+    out = np.empty(ss.size, dtype=complex)
+    lo = 0
+    while lo < ss.size:
+        # Largest chunk whose doubled rule fits the budget; per_row grows
+        # along the sorted frequencies, so the fitting rows form a prefix.
+        window = per_row[lo:lo + 1 + _BESSEL_BUDGET // int(per_row[lo])]
+        fits = np.arange(1, window.size + 1) * window <= _BESSEL_BUDGET
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        out[lo:hi] = _hankel_doubling(k, f0, ss[lo:hi], int(panels[hi - 1]),
+                                      tol)
+        lo = hi
+    result = np.empty_like(out)
+    result[order] = out
+    if shape == ():
+        return complex(result[0])
+    return result.reshape(shape)
 
 
 def t_transform(j: int, h: Callable) -> Callable:

@@ -278,13 +278,31 @@ def _sv_sum_flat(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
 
 
 def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int,
-                  chunk: int = 20_000) -> np.ndarray:
-    """M-relative transform at sample arrays (broadcast, any shape)."""
+                  chunk: int = 2_000) -> np.ndarray:
+    """M-relative transform at sample arrays (broadcast, any shape).
+
+    Samples are summed ``chunk`` at a time.  The default keeps one chunk's
+    lattice-point temporaries to a few MB; on a 2-core x86 host that ran
+    about twice as fast as 20 000-sample chunks, with bitwise-equal values.
+
+    Raises
+    ------
+    ValueError
+        If ``M < 1``, a coordinate is not finite, or some ``y <= 0``.
+    """
     if M < 1:
         raise ValueError("M must be a positive integer")
     xx, yy, uu, vv = np.broadcast_arrays(
         np.asarray(x, float), np.asarray(y, float),
         np.asarray(u, float), np.asarray(v, float))
+    # One pass over the sum keeps scalar calls cheap; the per-coordinate
+    # pass only runs to name the culprit (and passes on a mere overflow).
+    if not (np.isfinite(xx + yy + uu + vv).all() and (yy > 0.0).all()):
+        for name, arr in zip("xyuv", (xx, yy, uu, vv)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if not (yy > 0.0).all():
+            raise ValueError("y must be positive")
     shape = xx.shape
     flat = [np.ascontiguousarray(a.ravel()) for a in (xx, yy, uu, vv)]
     n = flat[0].size

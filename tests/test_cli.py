@@ -118,6 +118,13 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_non_integer_thread_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("STRATA_THREADS", "abc")
+    assert main(["verify", "algebra"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "STRATA_THREADS" in err
+
+
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonsense"]) == 2
     capsys.readouterr()

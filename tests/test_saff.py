@@ -229,6 +229,10 @@ def test_reduction_fixes_interior_points():
 def test_reduction_rejects_bad_input():
     with pytest.raises(ValueError):
         reduce_to_fundamental(JacobiPoint(0.0, -1.0))
+    with pytest.raises(ValueError, match="coordinate x"):
+        reduce_to_fundamental(JacobiPoint(math.nan, 1.0))
+    with pytest.raises(ValueError, match="coordinate v"):
+        reduce_to_fundamental(JacobiPoint(0.1, 1.0, 0.0, math.inf))
 
 
 # -- sampling ---------------------------------------------------------------

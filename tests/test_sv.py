@@ -187,6 +187,16 @@ def test_config_requires_positive_M():
         sv_rel_values(_gauss_plane(), 0.0, 1.0, 0.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("pt, name", [
+    (JacobiPoint(0.3, math.nan, 0.1, 0.2), "y"),
+    (JacobiPoint(0.3, -1.0, 0.1, 0.2), "y"),
+    (JacobiPoint(math.inf, 1.0, 0.1, 0.2), "x"),
+])
+def test_sv_rel_rejects_invalid_points(pt, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sv_rel_value(_gauss_plane(), pt, 1)
+
+
 # ---------------------------------------------------------------------------
 # relative transform values
 # ---------------------------------------------------------------------------
