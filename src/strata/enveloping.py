@@ -34,7 +34,6 @@ __all__ = [
     "GENERATORS",
     "Element",
     "generator",
-    "generator_matrix",
     "bracket",
     "matrix_bracket",
     "pbw_normalize",
@@ -359,11 +358,6 @@ _GENERATOR_MATRICES: dict[str, Matrix3] = {
 }
 
 
-def generator_matrix(name: str) -> Matrix3:
-    """Exact 3x3 matrix of a generator in the faithful embedding."""
-    return _GENERATOR_MATRICES[name]
-
-
 def _mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
     return tuple(
         tuple(
@@ -537,7 +531,7 @@ def _d2() -> DiffOp:
     return DiffOp({((0, 0), (0, 1)): ONE})
 
 
-def _w1(op: DiffOp = None) -> DiffOp:
+def _w1() -> DiffOp:
     return DiffOp({((1, 0), (0, 0)): ONE})
 
 

@@ -120,7 +120,7 @@ def coeff_H0_table(phi: ModularFunction, y: float,
     """FFT table with ``table[n % nx, m % nv]`` approximating ``cH0(n, m; y)``.
 
     One evaluation of ``phi`` on the ``(nx, nu, nv)`` grid; the ``r = 0``
-    Heisenberg slice of the 3D FFT is returned.
+    Heisenberg slice of the 3D FFT is copied out (a view would pin the FFT).
     """
     x = np.arange(spec.nx)[:, None, None] / spec.nx
     u = np.arange(spec.nu)[None, :, None] / spec.nu
@@ -129,7 +129,7 @@ def coeff_H0_table(phi: ModularFunction, y: float,
     vals = phi.fn(np.broadcast_to(x, shape), np.full(shape, y),
                   np.broadcast_to(u, shape), np.broadcast_to(y * t, shape))
     table = np.fft.fftn(np.asarray(vals, complex)) / (spec.nx * spec.nu * spec.nv)
-    return table[:, 0, :]
+    return table[:, 0, :].copy()
 
 
 def coeff_H0(phi: ModularFunction, n: int, m: int, y: float,

@@ -52,6 +52,7 @@ __all__ = [
     "point_to_element",
     "element_to_point",
     "reduce_to_fundamental",
+    "coprime_pairs",
     "MasurVeechSample",
     "sample_masur_veech",
     "inner_product",
@@ -410,6 +411,15 @@ def reduce_to_fundamental(pt: JacobiPoint, max_iter: int = 128
     return cur, gamma
 
 
+def coprime_pairs(cmax: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coprime integer pairs ``(c, d)`` with ``|c| <= cmax``, ``|d| <= dmax``
+    (the bottom rows of ``SL2(Z)``), as two arrays in lexicographic order."""
+    c, d = np.meshgrid(np.arange(-cmax, cmax + 1), np.arange(-dmax, dmax + 1),
+                       indexing="ij")
+    keep = np.gcd(c, d) == 1
+    return c[keep], d[keep]
+
+
 @dataclass
 class MasurVeechSample:
     """Batch of points drawn from the normalized invariant measure.
@@ -440,10 +450,6 @@ class MasurVeechSample:
     @property
     def tail_mass(self) -> float:
         return (3.0 / math.pi) / self.y_max
-
-    def point(self, i: int) -> JacobiPoint:
-        return JacobiPoint.from_pq(
-            float(self.x[i]), float(self.y[i]), float(self.p[i]), float(self.q[i]))
 
 
 def sample_masur_veech(n: int, seed: int, y_max: float = 1e3) -> MasurVeechSample:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -40,7 +39,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .saff import ModularFunction
+from .saff import ModularFunction, coprime_pairs
 from .special import gamma_w, whittaker_w
 
 __all__ = [
@@ -230,13 +229,11 @@ def coset_list(radius: int) -> list[tuple[int, int, int, int]]:
     determinant one.  Ordered lexicographically in ``(c, d)``.
     """
     out = []
-    for c in range(-radius, radius + 1):
-        for d in range(-radius, radius + 1):
-            if (c, d) == (0, 0) or gcd(abs(c), abs(d)) != 1:
-                continue
-            a, b = _completion(c, d)
-            assert a * d - b * c == 1
-            out.append((c, d, a, b))
+    for c, d in zip(*coprime_pairs(radius, radius)):
+        c, d = int(c), int(d)
+        a, b = _completion(c, d)
+        assert a * d - b * c == 1
+        out.append((c, d, a, b))
     return out
 
 
@@ -342,14 +339,8 @@ def classical_eisenstein(tau: complex, s: complex, radius: int = 120) -> complex
     The primed sum runs over coprime pairs with ``|c|, |d| <= radius``;
     convergence requires ``Re(s) > 1``.
     """
-    y = tau.imag
-    total = 0.0 + 0.0j
-    for c in range(-radius, radius + 1):
-        for d in range(-radius, radius + 1):
-            if (c, d) == (0, 0) or gcd(abs(c), abs(d)) != 1:
-                continue
-            total += y ** s / abs(c * tau + d) ** (2 * s)
-    return 0.5 * complex(total)
+    c, d = coprime_pairs(radius, radius)
+    return 0.5 * complex(np.sum(tau.imag ** s / np.abs(c * tau + d) ** (2 * s)))
 
 
 def _lambda_completed(w: complex) -> complex:

@@ -50,6 +50,7 @@ from .saff import (
     SAffElement,
     SL2Element,
     act_on_jacobi,
+    coprime_pairs,
     element_to_point,
     reduce_to_fundamental,
     sample_masur_veech,
@@ -161,7 +162,7 @@ def plane_l2_norm_sq(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
 
 
 # ---------------------------------------------------------------------------
-# marked tori and configurations
+# marked tori, lattice-disc enumeration and configurations
 # ---------------------------------------------------------------------------
 
 
@@ -190,17 +191,70 @@ class MarkedTorus:
         return MarkedTorus(mv(self.b1), mv(self.b2), mv(self.z))
 
 
-def _lattice_box(t: MarkedTorus, center: complex, R: float):
-    """Integer pairs (a, b) with ``|center + a b1 + b b2| <= R`` guaranteed
-    inside the returned box; exact membership is checked by the caller."""
-    B = np.array([[t.b1.real, t.b1.imag], [t.b2.real, t.b2.imag]])
-    Binv = np.linalg.inv(B)
-    c = -np.array([center.real, center.imag]) @ Binv
-    half = R * np.sqrt(np.sum(Binv ** 2, axis=0))
-    a = np.arange(math.ceil(c[0] - half[0]), math.floor(c[0] + half[0]) + 1)
-    b = np.arange(math.ceil(c[1] - half[1]), math.floor(c[1] + half[1]) + 1)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return aa.ravel(), bb.ravel()
+def _ragged(lo: np.ndarray, hi: np.ndarray):
+    """Expand inclusive integer intervals ``[lo_i, hi_i]`` (empty when
+    ``hi_i < lo_i``) into ``(owner, value)`` arrays, intervals in order."""
+    count = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(lo.size), count)
+    starts = np.cumsum(count) - count
+    return owner, lo[owner] + (np.arange(owner.size) - starts[owner])
+
+
+def _disc_points(c_re, c_im, x, y, rho):
+    """Integer pairs ``(a, b)`` with ``|(c_re + a x + b) + i (c_im + a y)|
+    <= rho``, per sample (all arguments are arrays of one length, ``y > 0``).
+
+    Lists the rows ``a`` meeting the strip, then each row's ``b`` interval,
+    ``a`` and ``b`` ascending.  Returns ``(row_sample, row_a, point_row, b)``:
+    the sample and ``a`` of each row, and the row and ``b`` of each point.
+    """
+    row_sample, row_a = _ragged(np.ceil((-c_im - rho) / y).astype(np.int64),
+                                np.floor((-c_im + rho) / y).astype(np.int64))
+    im = c_im[row_sample] + row_a * y[row_sample]
+    half = np.sqrt(np.maximum(rho[row_sample] ** 2 - im ** 2, 0.0))
+    re = c_re[row_sample] + row_a * x[row_sample]
+    point_row, b = _ragged(np.ceil(-re - half).astype(np.int64),
+                           np.floor(-re + half).astype(np.int64))
+    return row_sample, row_a, point_row, b
+
+
+# Lattice points one run of samples may enumerate (a few MB of temporaries).
+_POINT_BUDGET = 1 << 17
+
+
+def _runs(y: np.ndarray, c: float):
+    """Cut ``range(y.size)`` into runs ``[lo, hi)`` whose point bounds
+    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = c sqrt(y)``, sum to at most
+    ``_POINT_BUDGET``; a sample is never split, so one over the budget runs
+    alone.  A bound is at least ``(2c + 1)^2``, so costing the next
+    ``_POINT_BUDGET / (2c + 1)^2 + 1`` samples always reaches the cut.
+    """
+    window = int(_POINT_BUDGET / (2.0 * c + 1.0) ** 2) + 1
+    lo = 0
+    while lo < y.size:
+        yy = y[lo:lo + window]
+        rho = c * np.sqrt(yy)
+        cost = np.cumsum((2.0 * rho / yy + 1.0) * (2.0 * rho + 1.0))
+        hi = lo + max(int(np.searchsorted(cost, _POINT_BUDGET, "right")), 1)
+        yield lo, hi
+        lo = hi
+
+
+def _torus_pairs(t: MarkedTorus, z: complex, M: int, R: float):
+    """Integer pairs ``(a, b)`` covering ``|z + (a b1 + b b2)/M| <= R``.
+
+    Divided by ``b2`` this reads ``|M z/b2 + a tau' + b| <= M R/|b2|`` with
+    ``tau' = b1/b2`` (conjugated for a negatively oriented basis).  A hair
+    of slack in the radius keeps rounding from dropping a boundary point;
+    the caller applies the exact test.
+    """
+    tau, c = t.b1 / t.b2, M * z / t.b2
+    if tau.imag < 0.0:
+        tau, c = tau.conjugate(), c.conjugate()
+    _, row_a, point_row, b = _disc_points(
+        np.array([c.real]), np.array([c.imag]), np.array([tau.real]),
+        np.array([tau.imag]), np.array([M * R / abs(t.b2) * (1.0 + 1e-9)]))
+    return row_a[point_row], b
 
 
 def config_rel_M(t: MarkedTorus, M: int, R: float) -> np.ndarray:
@@ -210,8 +264,7 @@ def config_rel_M(t: MarkedTorus, M: int, R: float) -> np.ndarray:
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
-    scaled = MarkedTorus(t.b1 / M, t.b2 / M, t.z)
-    aa, bb = _lattice_box(scaled, t.z, R)
+    aa, bb = _torus_pairs(t, t.z, M, R)
     w = t.z + (aa * t.b1 + bb * t.b2) / M
     w = w[np.abs(w) <= R]
     order = np.lexsort((w.imag.round(12), w.real.round(12)))
@@ -220,7 +273,7 @@ def config_rel_M(t: MarkedTorus, M: int, R: float) -> np.ndarray:
 
 def config_abs(t: MarkedTorus, R: float) -> np.ndarray:
     """Primitive lattice vectors ``a b1 + b b2`` (gcd(a,b)=1) of norm <= R."""
-    aa, bb = _lattice_box(t, 0.0, R)
+    aa, bb = _torus_pairs(t, 0.0, 1, R)
     keep = np.gcd(np.abs(aa), np.abs(bb)) == 1
     aa, bb = aa[keep], bb[keep]
     w = aa * t.b1 + bb * t.b2
@@ -234,56 +287,14 @@ def config_abs(t: MarkedTorus, R: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sv_sum_flat(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
-    """Exact transform values for flat arrays of sample coordinates.
-
-    Enumerates, per sample, the lattice rows meeting the support strip
-    (imaginary part first, then the real interval allowed by the radius),
-    and reduces with bincount.
-    """
-    n = x.size
-    out = np.zeros(n, dtype=complex)
-    if n == 0:
-        return out
-    R = f.support_radius
-    sq = np.sqrt(y)
-    a_lo = np.ceil(M * (-v - R * sq) / y).astype(np.int64)
-    a_hi = np.floor(M * (-v + R * sq) / y).astype(np.int64)
-    ca = np.maximum(a_hi - a_lo + 1, 0)
-    total_a = int(ca.sum())
-    if total_a == 0:
-        return out
-    idx_a = np.repeat(np.arange(n), ca)
-    starts_a = np.concatenate(([0], np.cumsum(ca)[:-1]))
-    a = a_lo[idx_a] + (np.arange(total_a) - starts_a[idx_a])
-    t = (v[idx_a] + a * y[idx_a] / M) / sq[idx_a]
-    half = np.sqrt(np.maximum(R * R - t * t, 0.0))
-    b_lo = np.ceil(M * (-half * sq[idx_a] - u[idx_a]) - a * x[idx_a]
-                   ).astype(np.int64)
-    b_hi = np.floor(M * (half * sq[idx_a] - u[idx_a]) - a * x[idx_a]
-                    ).astype(np.int64)
-    cb = np.maximum(b_hi - b_lo + 1, 0)
-    total_b = int(cb.sum())
-    if total_b == 0:
-        return out
-    idx_ab = np.repeat(np.arange(total_a), cb)
-    starts_b = np.concatenate(([0], np.cumsum(cb)[:-1]))
-    b = b_lo[idx_ab] + (np.arange(total_b) - starts_b[idx_ab])
-    sample = idx_a[idx_ab]
-    re = (u[sample] + (a[idx_ab] * x[sample] + b) / M) / sq[sample]
-    vals = f(re + 1j * t[idx_ab])
-    out = (np.bincount(sample, weights=vals.real, minlength=n)
-           + 1j * np.bincount(sample, weights=vals.imag, minlength=n))
-    return out
-
-
-def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int,
-                  chunk: int = 2_000) -> np.ndarray:
+def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     """M-relative transform at sample arrays (broadcast, any shape).
 
-    Samples are summed ``chunk`` at a time.  The default keeps one chunk's
-    lattice-point temporaries to a few MB; on a 2-core x86 host that ran
-    about twice as fast as 20 000-sample chunks, with bitwise-equal values.
+    Samples are summed in runs that enumerate at most 2^17 lattice points
+    (a few MB of temporaries) by the per-sample bound
+    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = M R sqrt(y)``; a sample is never
+    split, so one over the budget runs alone.  Values do not depend on the
+    runs.
 
     Raises
     ------
@@ -304,12 +315,22 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int,
         if not (yy > 0.0).all():
             raise ValueError("y must be positive")
     shape = xx.shape
-    flat = [np.ascontiguousarray(a.ravel()) for a in (xx, yy, uu, vv)]
-    n = flat[0].size
-    out = np.empty(n, dtype=complex)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        out[lo:hi] = _sv_sum_flat(f, *(a[lo:hi] for a in flat), M)
+    x, y, u, v = (np.ascontiguousarray(a.ravel()) for a in (xx, yy, uu, vv))
+    out = np.zeros(x.size, dtype=complex)
+    R = f.support_radius
+    for lo, hi in _runs(y, M * R):
+        xs, ys, us, vs = x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi]
+        sq = np.sqrt(ys)
+        row_sample, a, point_row, b = _disc_points(
+            M * us, M * vs, xs, ys, M * R * sq)
+        t = (vs[row_sample] + a * ys[row_sample] / M) / sq[row_sample]
+        ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sq[row_sample]
+        re = (u_row[point_row] + (ax[point_row] + b) / M) / sq_row[point_row]
+        vals = f(re + 1j * t[point_row])
+        sample = row_sample[point_row]
+        out[lo:hi] = (np.bincount(sample, weights=vals.real, minlength=hi - lo)
+                      + 1j * np.bincount(sample, weights=vals.imag,
+                                         minlength=hi - lo))
     return out.reshape(shape)
 
 
@@ -379,11 +400,7 @@ def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
     nmax = y / lo
     cmax = int(math.floor(math.sqrt(nmax) / y)) + 1
     dmax = int(math.floor(cmax * abs(tau.real) + math.sqrt(nmax))) + 1
-    c = np.arange(-cmax, cmax + 1)
-    d = np.arange(-dmax, dmax + 1)
-    cc, dd = np.meshgrid(c, d, indexing="ij")
-    keep = np.gcd(np.abs(cc), np.abs(dd)) == 1
-    cc, dd = cc[keep], dd[keep]
+    cc, dd = coprime_pairs(cmax, dmax)
     j = cc * tau + dd
     n2 = np.abs(j) ** 2
     arg = y / n2
@@ -465,45 +482,35 @@ def _real_profile_values(h: RadialProfile, r: np.ndarray) -> np.ndarray:
     return np.real(np.asarray(h(r)))
 
 
-def dual_norm_sum_values(h: RadialProfile, x, y, M: int,
-                         chunk: int = 200_000) -> np.ndarray:
+def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
     """``sum_{(a,b) != (0,0)} h(M |a tau + b| / sqrt(y))`` vectorized over
     sample arrays.
 
     These are the norms of the nonzero vectors of the lattice dual to the
     1/M-refined period lattice; the sum is the exact fibre average of the
     squared transform when ``h = |fhat|^2`` (up to the ``M^4`` factor).
+    Samples are summed in runs that enumerate at most 2^17 lattice points
+    by the per-sample bound ``(2 rho / y + 1)(2 rho + 1)``,
+    ``rho = R sqrt(y) / M``; a sample is never split, so one over the budget
+    runs alone.  Values do not depend on the runs.
     """
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
-    n = x.size
-    if n > chunk:
-        out = np.empty(n, dtype=float)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            out[lo:hi] = dual_norm_sum_values(h, x[lo:hi], y[lo:hi], M, chunk)
-        return out
-    out = np.zeros(n, dtype=float)
+    out = np.zeros(x.size, dtype=float)
     R = h.support_radius
-    Q = R * np.sqrt(y) / M          # need |a tau + b| <= Q
-    a_hi = np.floor(Q / y).astype(np.int64)
-    ca = 2 * a_hi + 1
-    idx_a = np.repeat(np.arange(n), ca)
-    starts_a = np.concatenate(([0], np.cumsum(ca)[:-1]))
-    a = (np.arange(idx_a.size) - starts_a[idx_a]) - a_hi[idx_a]
-    half = np.sqrt(np.maximum(Q[idx_a] ** 2 - (a * y[idx_a]) ** 2, 0.0))
-    b_lo = np.ceil(-a * x[idx_a] - half).astype(np.int64)
-    b_hi = np.floor(-a * x[idx_a] + half).astype(np.int64)
-    cb = np.maximum(b_hi - b_lo + 1, 0)
-    idx_ab = np.repeat(np.arange(idx_a.size), cb)
-    starts_b = np.concatenate(([0], np.cumsum(cb)[:-1]))
-    b = b_lo[idx_ab] + (np.arange(idx_ab.size) - starts_b[idx_ab])
-    sample = idx_a[idx_ab]
-    aa = a[idx_ab]
-    norm = np.sqrt((aa * x[sample] + b) ** 2 + (aa * y[sample]) ** 2)
-    vals = _real_profile_values(h, M * norm / np.sqrt(y[sample]))
-    vals[(aa == 0) & (b == 0)] = 0.0
-    return np.bincount(sample, weights=vals, minlength=n)
+    for lo, hi in _runs(y, R / M):
+        xs, ys = x[lo:hi], y[lo:hi]
+        zero = np.zeros(hi - lo)
+        row_sample, a, point_row, b = _disc_points(
+            zero, zero, xs, ys, R * np.sqrt(ys) / M)
+        ax, ay2 = a * xs[row_sample], (a * ys[row_sample]) ** 2
+        sq_row = np.sqrt(ys[row_sample])
+        norm = np.sqrt((ax[point_row] + b) ** 2 + ay2[point_row])
+        vals = _real_profile_values(h, M * norm / sq_row[point_row])
+        vals[(a[point_row] == 0) & (b == 0)] = 0.0
+        out[lo:hi] = np.bincount(row_sample[point_row], weights=vals,
+                                 minlength=hi - lo)
+    return out
 
 
 def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,

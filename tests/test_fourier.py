@@ -94,6 +94,13 @@ def test_coeff_t_recovers_pq_modes():
     assert abs(coeff_T(phi, 0, 0, tau)) < 1e-12
 
 
+def test_coeff_table_owns_its_data():
+    phi, _ = planted_modes()
+    table = coeff_H0_table(phi, 1.3, QuadratureSpec(8, 4, 16))
+    assert table.shape == (8, 16)
+    assert table.base is None
+
+
 def test_relation_between_t_and_h0():
     phi, _ = planted_modes()
     for tau in (0.2 + 0.9j, -0.4 + 2.0j):

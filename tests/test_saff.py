@@ -19,6 +19,7 @@ from strata.saff import (
     SL2Element,
     VOLUME_SL2,
     act_on_jacobi,
+    coprime_pairs,
     element_from_iwasawa,
     element_to_point,
     inner_product,
@@ -233,6 +234,13 @@ def test_reduction_rejects_bad_input():
         reduce_to_fundamental(JacobiPoint(math.nan, 1.0))
     with pytest.raises(ValueError, match="coordinate v"):
         reduce_to_fundamental(JacobiPoint(0.1, 1.0, 0.0, math.inf))
+
+
+def test_coprime_pairs_lexicographic():
+    c, d = coprime_pairs(2, 5)
+    want = [(cc, dd) for cc in range(-2, 3) for dd in range(-5, 6)
+            if math.gcd(cc, dd) == 1]
+    assert list(zip(c.tolist(), d.tolist())) == want
 
 
 # -- sampling ---------------------------------------------------------------

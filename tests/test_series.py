@@ -69,6 +69,7 @@ def test_coset_list_covers_coprime_pairs_once():
                 if (c, d) != (0, 0) and gcd(abs(c), abs(d)) == 1}
     assert seen == expected
     assert len(cosets) == len(seen)  # no duplicates
+    assert [(c, d) for (c, d, _, _) in cosets] == sorted(seen)
     for (c, d, a, b) in cosets:
         assert a * d - b * c == 1
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,49 @@ def test_config_equivariance():
     assert np.max(np.abs(got - mapped[order])) < 1e-9
 
 
+def _brute_config(t, z, M, R, primitive):
+    """Every lattice translate in a box sized from the inverse basis."""
+    binv = np.linalg.inv(np.array([[t.b1.real, t.b1.imag],
+                                   [t.b2.real, t.b2.imag]]))
+    n = int(math.ceil(M * (R + abs(z)) * np.abs(binv).sum())) + 2
+    aa, bb = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
+                         indexing="ij")
+    aa, bb = aa.ravel(), bb.ravel()
+    if primitive:
+        keep = np.gcd(aa, bb) == 1
+        aa, bb = aa[keep], bb[keep]
+        w = aa * t.b1 + bb * t.b2
+    else:
+        w = z + (aa * t.b1 + bb * t.b2) / M
+    w = w[np.abs(w) <= R]
+    return w[np.lexsort((w.imag.round(12), w.real.round(12)))]
+
+
+def test_config_matches_brute_force():
+    rng = np.random.default_rng(8)
+    tori = [MarkedTorus(1j, 1.0, 0.0), MarkedTorus(1.0, 1j, 0.0)]
+    for _ in range(12):
+        t = MarkedTorus.from_point(JacobiPoint(
+            rng.uniform(-0.5, 0.5), math.exp(rng.uniform(-1.0, 2.0)),
+            rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        a, b, c = rng.uniform(0.5, 2.0), *rng.uniform(-1.0, 1.0, 2)
+        tori += [t,
+                 t.acted(SL2Element(math.cos(th), math.sin(th),
+                                    -math.sin(th), math.cos(th))),
+                 t.acted(SL2Element(a, b, c, (1.0 + b * c) / a)),
+                 MarkedTorus(t.b2, t.b1, t.z)]  # negatively oriented
+    for i, t in enumerate(tori):
+        M = 1 + i % 3
+        # radius 1 puts points of the square lattice on the boundary
+        R = 1.0 if i < 2 else rng.uniform(0.5, 3.0)
+        assert np.array_equal(config_rel_M(t, M, R),
+                              _brute_config(t, t.z, M, R, False))
+        assert np.array_equal(config_abs(t, R),
+                              _brute_config(t, 0.0, 1, R, True))
+    assert config_abs(tori[0], 1.0).size == 4
+
+
 def test_config_requires_positive_M():
     t = MarkedTorus.from_point(JacobiPoint(0.0, 1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -221,6 +265,42 @@ def test_sv_rel_matches_enumeration():
                 JacobiPoint(xs[i], ys[i], us[i], vs[i]))
             want = np.sum(f(config_rel_M(t, M, f.support_radius)))
             assert abs(vals[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_lattice_sums_batch_equals_single():
+    # heights up to 1e8 put single samples far over the point budget
+    rng = np.random.default_rng(21)
+    n = 40
+    ys = rng.permutation(np.geomspace(0.9, 1e8, n))
+    xs = rng.uniform(-0.5, 0.5, n)
+    us = rng.uniform(-1.0, 1.0, n)
+    vs = rng.uniform(-1.0, 1.0, n) * ys
+    f = _gauss_plane()
+    for M in (1, 2):
+        batch = sv_rel_values(f, xs, ys, us, vs, M)
+        single = [sv_rel_values(f, xs[i], ys[i], us[i], vs[i], M)
+                  for i in range(n)]
+        assert np.array_equal(batch, single)
+    h = RadialProfile(lambda r: np.exp(-np.asarray(r, float) ** 2), 4.0)
+    for M in (1, 2):
+        batch = dual_norm_sum_values(h, xs, ys, M)
+        single = [dual_norm_sum_values(h, xs[i], ys[i], M)[0]
+                  for i in range(n)]
+        assert np.array_equal(batch, single)
+
+
+def test_dual_norm_sum_memory_bounded():
+    # each sample enumerates ~8e4 points; the work is cut into runs by a
+    # point budget, so the peak does not grow with the batch
+    h = RadialProfile(lambda r: np.exp(-np.asarray(r, float) ** 2), 4.0)
+    xs = np.linspace(-0.5, 0.5, 64)
+    tracemalloc.start()
+    try:
+        dual_norm_sum_values(h, xs, np.full(64, 1e8), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_sv_single_term_and_empty():
