@@ -420,6 +420,71 @@ def coprime_pairs(cmax: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     return c[keep], d[keep]
 
 
+def _check_points(**coords: np.ndarray) -> None:
+    """Reject points no evaluator can use: raise ``ValueError`` naming the
+    first non-finite coordinate, then for ``y <= 0``.  ``coords`` are arrays
+    keyed by coordinate name, ``y`` among them."""
+    y = coords["y"]
+    # One pass over the sum keeps scalar calls cheap; the per-coordinate
+    # pass only runs to name the culprit (and passes on a mere overflow).
+    if np.isfinite(sum(coords.values())).all() and (y > 0.0).all():
+        return
+    for name, arr in coords.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if not (y > 0.0).all():
+        raise ValueError("y must be positive")
+
+
+def _ragged(lo: np.ndarray, hi: np.ndarray):
+    """Expand inclusive integer intervals ``[lo_i, hi_i]`` (empty when
+    ``hi_i < lo_i``) into ``(owner, value)`` arrays, intervals in order."""
+    count = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(lo.size), count)
+    starts = np.cumsum(count) - count
+    return owner, lo[owner] + (np.arange(owner.size) - starts[owner])
+
+
+def _disc_points(c_re, c_im, x, y, rho):
+    """Integer pairs ``(a, b)`` with ``|(c_re + a x + b) + i (c_im + a y)|
+    <= rho``, per sample (all arguments are arrays of one length, ``y > 0``).
+
+    Lists the rows ``a`` meeting the strip, then each row's ``b`` interval,
+    ``a`` and ``b`` ascending.  Returns ``(row_sample, row_a, point_row, b)``:
+    the sample and ``a`` of each row, and the row and ``b`` of each point.
+    """
+    row_sample, row_a = _ragged(np.ceil((-c_im - rho) / y).astype(np.int64),
+                                np.floor((-c_im + rho) / y).astype(np.int64))
+    im = c_im[row_sample] + row_a * y[row_sample]
+    half = np.sqrt(np.maximum(rho[row_sample] ** 2 - im ** 2, 0.0))
+    re = c_re[row_sample] + row_a * x[row_sample]
+    point_row, b = _ragged(np.ceil(-re - half).astype(np.int64),
+                           np.floor(-re + half).astype(np.int64))
+    return row_sample, row_a, point_row, b
+
+
+# Lattice points one run of samples may enumerate (a few MB of temporaries).
+_POINT_BUDGET = 1 << 17
+
+
+def _runs(y: np.ndarray, c: float):
+    """Cut ``range(y.size)`` into runs ``[lo, hi)`` whose point bounds
+    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = c sqrt(y)``, sum to at most
+    ``_POINT_BUDGET``; a sample is never split, so one over the budget runs
+    alone.  A bound is at least ``(2c + 1)^2``, so costing the next
+    ``_POINT_BUDGET / (2c + 1)^2 + 1`` samples always reaches the cut.
+    """
+    window = int(_POINT_BUDGET / (2.0 * c + 1.0) ** 2) + 1
+    lo = 0
+    while lo < y.size:
+        yy = y[lo:lo + window]
+        rho = c * np.sqrt(yy)
+        cost = np.cumsum((2.0 * rho / yy + 1.0) * (2.0 * rho + 1.0))
+        hi = lo + max(int(np.searchsorted(cost, _POINT_BUDGET, "right")), 1)
+        yield lo, hi
+        lo = hi
+
+
 @dataclass
 class MasurVeechSample:
     """Batch of points drawn from the normalized invariant measure.
@@ -482,7 +547,8 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     Computes ``integral of phi1 conj(phi2) y^k dx dy du dv / y^3`` over the
     quotient as ``(pi/3) E[phi1 conj(phi2) y^k]`` under the normalized
     invariant law.  Returns ``(estimate, stderr)`` with the standard error
-    taken over batch means.
+    taken over batch means.  A self-pairing (``phi2 is phi1``) evaluates
+    the function once.
 
     Raises
     ------
@@ -493,9 +559,9 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
         raise ValueError("weights must match for the pairing")
     k = phi1.weight
     s = sample_masur_veech(n_samples, seed, y_max)
-    vals = (phi1.fn(s.x, s.y, s.u, s.v)
-            * np.conj(phi2.fn(s.x, s.y, s.u, s.v))
-            * s.y ** k) * VOLUME_SL2
+    vals1 = phi1.fn(s.x, s.y, s.u, s.v)
+    vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
+    vals = (vals1 * np.conj(vals2) * s.y ** k) * VOLUME_SL2
     usable = (n_samples // n_batches) * n_batches
     batches = vals[:usable].reshape(n_batches, -1).mean(axis=1)
     est = complex(batches.mean())

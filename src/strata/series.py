@@ -17,9 +17,13 @@ with the Eisenstein case ``n = 0``.  Each summand is
     (c tau + d)^(-k) beta(y_gamma) e(n x_gamma + m v_gamma / y_gamma).
 
 For profiles with compact support ``[y0, y1]`` only finitely many cosets can
-contribute at a given point (``|c tau + d|^2 <= y / y0``), which the
-evaluator exploits; it raises if the requested coset radius provably cannot
-cover the support condition for the points being evaluated.
+contribute at a given point (``|c tau + d|^2 <= y / y0``).  The evaluator
+lists exactly those candidate pairs per point with the lattice-disc kernel
+of ``strata.saff`` (the one the Siegel--Veech sums use), so work per point
+scales with its contributing cosets, not with the ``(2r + 1)^2`` coset box;
+the coset radius ``r`` only bounds the box.  It raises if that radius
+provably cannot cover the support condition for the points being
+evaluated.
 
 Reduced Fourier coefficients of the series are supported on the seed indices:
 ``cH0 = 2^(-1/2) beta(y)`` at ``(n, m)`` and ``(-1)^k 2^(-1/2) beta(y)`` at
@@ -39,7 +43,14 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .saff import ModularFunction, coprime_pairs
+from .saff import (
+    _POINT_BUDGET,
+    ModularFunction,
+    _check_points,
+    _disc_points,
+    _runs,
+    coprime_pairs,
+)
 from .special import gamma_w, whittaker_w
 
 __all__ = [
@@ -275,18 +286,56 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
              radius: int = 12) -> ModularFunction:
     """Poincare series ``2^(-1/2) sum seed |_k (gamma, 0)`` over cosets.
 
-    For compactly supported profiles the evaluator masks cosets by the
-    support condition and raises ``ValueError`` if ``radius`` is provably too
-    small for the evaluation points; for profiles without compact support the
-    series is truncated at ``radius`` (accuracy is then the caller's
-    responsibility).
+    For compactly supported profiles the evaluator lists, per point, only
+    the cosets with ``|c tau + d|^2 <= y / y0``, so work per point scales
+    with its contributing cosets, not with the ``(2r + 1)^2`` box, and
+    ``radius`` only bounds the box.  For profiles without compact support
+    every box coset is summed at every point: the series is truncated at
+    ``radius`` (accuracy is then the caller's responsibility).
+
+    Raises
+    ------
+    ValueError
+        If a coordinate is not finite, some ``y <= 0``, or ``radius`` is
+        provably too small for a compactly supported profile at the points.
     """
-    cosets = coset_list(radius)
+    cc, dd, aa, bb = (np.array(col, dtype=np.int64)
+                      for col in zip(*coset_list(radius)))
+    side = 2 * radius + 1
+    # coset index of each box pair (c, d), -1 off the coset list; pairs
+    # outside the box look up the extra last slot
+    slot = np.full(side * side + 1, -1)
+    slot[(cc + radius) * side + dd + radius] = np.arange(cc.size)
+
+    def candidates(x, y):
+        """Runs ``[lo, hi)`` of points with their candidate terms as
+        ``(point, coset index)`` arrays, by point, then ``(c, d)``."""
+        if beta.support is None:
+            step = max(_POINT_BUDGET // cc.size, 1)
+            for lo in range(0, x.size, step):
+                hi = min(lo + step, x.size)
+                yield (lo, hi, np.repeat(np.arange(lo, hi), cc.size),
+                       np.tile(np.arange(cc.size), hi - lo))
+            return
+        # a hair of slack keeps rounding from dropping a boundary coset;
+        # the exact support mask is applied to the terms
+        scale = (1.0 + 1e-9) / math.sqrt(beta.support[0])
+        for lo, hi in _runs(y, scale):
+            xs, ys = x[lo:hi], y[lo:hi]
+            zero = np.zeros(hi - lo)
+            row_point, row_c, point_row, d = _disc_points(
+                zero, zero, xs, ys, scale * np.sqrt(ys))
+            c = row_c[point_row]
+            inside = (np.abs(c) <= radius) & (np.abs(d) <= radius)
+            idx = slot[np.where(inside, (c + radius) * side + d + radius, -1)]
+            keep = idx >= 0
+            yield lo, hi, lo + row_point[point_row][keep], idx[keep]
 
     def fn(x, y, u, v):
         x, y, u, v = np.broadcast_arrays(
             np.asarray(x, float), np.asarray(y, float),
             np.asarray(u, float), np.asarray(v, float))
+        _check_points(x=x, y=y, u=u, v=v)
         shape = x.shape
         x, y, u, v = x.ravel(), y.ravel(), u.ravel(), v.ravel()
         need = _radius_needed(beta, x, y)
@@ -297,22 +346,22 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
         tau = x + 1j * y
         zc = u + 1j * v
         out = np.zeros(x.shape, dtype=complex)
-        for (c, d, a, b) in cosets:
-            jac = c * tau + d
-            absj2 = jac.real ** 2 + jac.imag ** 2
-            y2 = y / absj2
+        for lo, hi, point, idx in candidates(x, y):
+            tau_p = tau[point]
+            jac = cc[idx] * tau_p + dd[idx]
             if beta.support is not None:
                 y0, y1 = beta.support
+                y2 = y[point] / (jac.real ** 2 + jac.imag ** 2)
                 mask = (y2 >= y0) & (y2 <= y1)
-                if not mask.any():
-                    continue
-            else:
-                mask = slice(None)
-            tg = (a * tau[mask] + b) / jac[mask]
-            v2 = (zc[mask] / jac[mask]).imag
-            phase = np.exp(2j * math.pi * (n * tg.real
-                                           + m * v2 / tg.imag))
-            out[mask] += jac[mask] ** (-k) * beta(tg.imag) * phase
+                point, idx, tau_p, jac = (
+                    point[mask], idx[mask], tau_p[mask], jac[mask])
+            tg = (aa[idx] * tau_p + bb[idx]) / jac
+            v2 = (zc[point] / jac).imag
+            phase = np.exp(2j * math.pi * (n * tg.real + m * v2 / tg.imag))
+            term = jac ** (-k) * beta(tg.imag) * phase
+            # per point, bincount adds in list order, like one pass per coset
+            out.real[lo:hi] = np.bincount(point - lo, term.real, hi - lo)
+            out.imag[lo:hi] = np.bincount(point - lo, term.imag, hi - lo)
         return (out / math.sqrt(2.0)).reshape(shape)
 
     return ModularFunction(fn, weight=k,

@@ -49,6 +49,9 @@ from .saff import (
     ModularFunction,
     SAffElement,
     SL2Element,
+    _check_points,
+    _disc_points,
+    _runs,
     act_on_jacobi,
     coprime_pairs,
     element_to_point,
@@ -162,7 +165,7 @@ def plane_l2_norm_sq(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
 
 
 # ---------------------------------------------------------------------------
-# marked tori, lattice-disc enumeration and configurations
+# marked tori and configurations
 # ---------------------------------------------------------------------------
 
 
@@ -189,55 +192,6 @@ class MarkedTorus:
                            zeta.real * g.b + zeta.imag * g.d)
 
         return MarkedTorus(mv(self.b1), mv(self.b2), mv(self.z))
-
-
-def _ragged(lo: np.ndarray, hi: np.ndarray):
-    """Expand inclusive integer intervals ``[lo_i, hi_i]`` (empty when
-    ``hi_i < lo_i``) into ``(owner, value)`` arrays, intervals in order."""
-    count = np.maximum(hi - lo + 1, 0)
-    owner = np.repeat(np.arange(lo.size), count)
-    starts = np.cumsum(count) - count
-    return owner, lo[owner] + (np.arange(owner.size) - starts[owner])
-
-
-def _disc_points(c_re, c_im, x, y, rho):
-    """Integer pairs ``(a, b)`` with ``|(c_re + a x + b) + i (c_im + a y)|
-    <= rho``, per sample (all arguments are arrays of one length, ``y > 0``).
-
-    Lists the rows ``a`` meeting the strip, then each row's ``b`` interval,
-    ``a`` and ``b`` ascending.  Returns ``(row_sample, row_a, point_row, b)``:
-    the sample and ``a`` of each row, and the row and ``b`` of each point.
-    """
-    row_sample, row_a = _ragged(np.ceil((-c_im - rho) / y).astype(np.int64),
-                                np.floor((-c_im + rho) / y).astype(np.int64))
-    im = c_im[row_sample] + row_a * y[row_sample]
-    half = np.sqrt(np.maximum(rho[row_sample] ** 2 - im ** 2, 0.0))
-    re = c_re[row_sample] + row_a * x[row_sample]
-    point_row, b = _ragged(np.ceil(-re - half).astype(np.int64),
-                           np.floor(-re + half).astype(np.int64))
-    return row_sample, row_a, point_row, b
-
-
-# Lattice points one run of samples may enumerate (a few MB of temporaries).
-_POINT_BUDGET = 1 << 17
-
-
-def _runs(y: np.ndarray, c: float):
-    """Cut ``range(y.size)`` into runs ``[lo, hi)`` whose point bounds
-    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = c sqrt(y)``, sum to at most
-    ``_POINT_BUDGET``; a sample is never split, so one over the budget runs
-    alone.  A bound is at least ``(2c + 1)^2``, so costing the next
-    ``_POINT_BUDGET / (2c + 1)^2 + 1`` samples always reaches the cut.
-    """
-    window = int(_POINT_BUDGET / (2.0 * c + 1.0) ** 2) + 1
-    lo = 0
-    while lo < y.size:
-        yy = y[lo:lo + window]
-        rho = c * np.sqrt(yy)
-        cost = np.cumsum((2.0 * rho / yy + 1.0) * (2.0 * rho + 1.0))
-        hi = lo + max(int(np.searchsorted(cost, _POINT_BUDGET, "right")), 1)
-        yield lo, hi
-        lo = hi
 
 
 def _torus_pairs(t: MarkedTorus, z: complex, M: int, R: float):
@@ -306,14 +260,7 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     xx, yy, uu, vv = np.broadcast_arrays(
         np.asarray(x, float), np.asarray(y, float),
         np.asarray(u, float), np.asarray(v, float))
-    # One pass over the sum keeps scalar calls cheap; the per-coordinate
-    # pass only runs to name the culprit (and passes on a mere overflow).
-    if not (np.isfinite(xx + yy + uu + vv).all() and (yy > 0.0).all()):
-        for name, arr in zip("xyuv", (xx, yy, uu, vv)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-        if not (yy > 0.0).all():
-            raise ValueError("y must be positive")
+    _check_points(x=xx, y=yy, u=uu, v=vv)
     shape = xx.shape
     x, y, u, v = (np.ascontiguousarray(a.ravel()) for a in (xx, yy, uu, vv))
     out = np.zeros(x.size, dtype=complex)
@@ -493,9 +440,15 @@ def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
     by the per-sample bound ``(2 rho / y + 1)(2 rho + 1)``,
     ``rho = R sqrt(y) / M``; a sample is never split, so one over the budget
     runs alone.  Values do not depend on the runs.
+
+    Raises
+    ------
+    ValueError
+        If a coordinate is not finite or some ``y <= 0``.
     """
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
+    _check_points(x=x, y=y)
     out = np.zeros(x.size, dtype=float)
     R = h.support_radius
     for lo, hi in _runs(y, R / M):

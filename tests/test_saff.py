@@ -279,12 +279,22 @@ def test_sampler_matches_known_integrals():
 
 
 def test_inner_product_of_known_function():
-    """<1, 1> at weight 0 equals the total mass pi/3."""
-    one = ModularFunction(lambda x, y, u, v: np.ones(np.broadcast(x, y).shape,
-                                                     dtype=complex), weight=0)
+    """<1, 1> at weight 0 equals the total mass pi/3; a self-pairing
+    evaluates the function once, a pairing of two objects twice."""
+    calls = []
+
+    def fn(x, y, u, v):
+        calls.append(len(x))
+        return np.ones(np.broadcast(x, y).shape, dtype=complex)
+
+    one = ModularFunction(fn, weight=0)
     val, err = inner_product(one, one, n_samples=10_000, seed=1)
+    assert calls == [10_000]
     assert err < 1e-12
     assert abs(val - VOLUME_SL2) < 1e-10
+    other = ModularFunction(fn, weight=0)
+    assert inner_product(one, other, n_samples=10_000, seed=1) == (val, err)
+    assert calls == [10_000] * 3
 
 
 def test_inner_product_weight_mismatch():

@@ -6,6 +6,9 @@ Oracles
 * slash-invariance of the series under explicit integral elements;
 * the reduced-coefficient identity checked through the FFT coefficient
   extractor at a height where only the two shear cosets survive;
+* the evaluator bitwise against the dense loop over every coset of the box,
+  on generated points (support edges, the radius guard's limit, no-support
+  profiles);
 * the series norm computed two ways (Monte Carlo pairing on the quotient
   versus the one-dimensional profile integral);
 * wave-packet norms against closed-form Plancherel constants;
@@ -18,10 +21,18 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from strata.fourier import QuadratureSpec, coeff_H0_table
-from strata.saff import SAffElement, SL2Element, inner_product, slash
+from strata.saff import (
+    SAffElement,
+    SL2Element,
+    inner_product,
+    sample_masur_veech,
+    slash,
+)
 from strata.series import (
     BetaProfile,
     beta_bump,
@@ -161,6 +172,88 @@ def test_series_radius_saturation():
     small = poincare(2, 1, 1, beta, radius=4).fn(x, y, u, v)
     large = poincare(2, 1, 1, beta, radius=9).fn(x, y, u, v)
     assert np.max(np.abs(small - large)) < 1e-12
+
+
+def _dense_poincare(k, n, m, beta, radius, x, y, u, v):
+    """Reference evaluator: one full-array pass per coset of the box."""
+    tau = x + 1j * y
+    zc = u + 1j * v
+    out = np.zeros(x.shape, dtype=complex)
+    for (c, d, a, b) in coset_list(radius):
+        jac = c * tau + d
+        absj2 = jac.real ** 2 + jac.imag ** 2
+        y2 = y / absj2
+        if beta.support is not None:
+            y0, y1 = beta.support
+            mask = (y2 >= y0) & (y2 <= y1)
+            if not mask.any():
+                continue
+        else:
+            mask = slice(None)
+        tg = (a * tau[mask] + b) / jac[mask]
+        v2 = (zc[mask] / jac[mask]).imag
+        phase = np.exp(2j * math.pi * (n * tg.real + m * v2 / tg.imag))
+        out[mask] += jac[mask] ** (-k) * beta(tg.imag) * phase
+    return out / math.sqrt(2.0)
+
+
+def _oracle_points(seed, radius, xmax, y0, y1):
+    """Points the radius guard admits for ``|x| <= xmax``: sampler points
+    (``y`` up to 1e3), spread points down to the guard's ``y`` limit and
+    points on the support edges ``y / |c tau + d|^2 = y0, y1``."""
+    rng = np.random.default_rng(seed)
+    # the guard needs 1/sqrt(y0 y) <= r and xmax max(1/sqrt(y0 y), 1) +
+    # 1/y0 <= r
+    xmax = min(xmax, radius - 1.0 / y0)
+    cmax = min(radius, (radius - 1.0 / y0) / xmax)
+    ymin = 1.0 / (y0 * cmax ** 2) * (1.0 + 1e-9)
+    s = sample_masur_veech(300, seed, y_max=1e3)
+    xs = [s.x, rng.uniform(-xmax, xmax, 100), [-xmax, 0.0, xmax]]
+    ys = [s.y, ymin * np.exp(rng.exponential(1.0, 100)), [ymin] * 3]
+    for t in (y0, y1):
+        c = rng.integers(1, 4, 100) * rng.choice([-1, 1], 100)
+        d = rng.integers(-radius, radius + 1, 100)
+        # y solves t c^2 y^2 - y + t w^2 = 0 for w = c x + d; |w| small
+        # enough makes both roots real
+        w = rng.uniform(-1.0, 1.0, 100) / (2.0 * t * np.abs(c))
+        root = np.sqrt(1.0 - (2.0 * t * c * w) ** 2)
+        for sign in (-1.0, 1.0):
+            xs.append((w - d) / c)
+            ys.append((1.0 + sign * root) / (2.0 * t * c ** 2))
+        xs.append(rng.uniform(-xmax, xmax, 10))
+        ys.append(np.full(10, t))  # c = 0, d = +/-1
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    keep = (y >= ymin) & (np.abs(x) <= xmax)
+    x, y = x[keep], y[keep]
+    u = rng.uniform(-2.0, 2.0, x.size)
+    v = rng.uniform(-2.0, 2.0, x.size) * y
+    return x, y, u, v
+
+
+# the bump vanishes at its ends; the cut-off exponential does not, so a
+# coset dropped at a support edge changes its value
+_ORACLE_PROFILES = {
+    "bump": beta_bump(0.8, 1.6),
+    "cut": BetaProfile(lambda y: np.exp(-y), support=(0.8, 1.6)),
+    "discrete": beta_discrete(2, 1),
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(k=st.integers(0, 3), n=st.sampled_from([0, 1, -2]),
+       m=st.sampled_from([1, -1]), radius=st.integers(4, 12),
+       xmax=st.floats(0.5, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+       profile=st.sampled_from(sorted(_ORACLE_PROFILES)))
+def test_series_matches_dense_coset_loop(k, n, m, radius, xmax, seed, profile):
+    # the per-point candidate enumeration adds each point's terms in the
+    # dense loop's (c, d) order, so values agree bit for bit
+    beta = _ORACLE_PROFILES[profile]
+    if beta.support is None:
+        radius = 4
+    x, y, u, v = _oracle_points(seed, radius, xmax, 0.8, 1.6)
+    got = poincare(k, n, m, beta, radius).fn(x, y, u, v)
+    want = _dense_poincare(k, n, m, beta, radius, x, y, u, v)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_series_radius_guard_raises():

@@ -235,10 +235,24 @@ def test_config_requires_positive_M():
     (JacobiPoint(0.3, math.nan, 0.1, 0.2), "y"),
     (JacobiPoint(0.3, -1.0, 0.1, 0.2), "y"),
     (JacobiPoint(math.inf, 1.0, 0.1, 0.2), "x"),
+    (JacobiPoint(0.3, 0.0, 0.1, 0.2), "y"),
+    (JacobiPoint(0.3, math.inf, 0.1, 0.2), "y"),
+    (JacobiPoint(0.3, 1.0, math.nan, 0.2), "u"),
+    (JacobiPoint(0.3, 1.0, 0.1, -math.inf), "v"),
 ])
 def test_sv_rel_rejects_invalid_points(pt, name):
+    # one input contract for every point-array evaluator: the transform,
+    # the dual-lattice sum (which reads only x and y) and the coset series
     with pytest.raises(ValueError, match=f"^{name} must be"):
         sv_rel_value(_gauss_plane(), pt, 1)
+    ok = np.ones(3)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        eisenstein(2, 1, beta_bump(0.8, 1.6)).fn(
+            ok * pt.x, ok * pt.y, pt.u, ok * pt.v)
+    if name in "xy":
+        h = RadialProfile(lambda r: np.exp(-r ** 2), 4.0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dual_norm_sum_values(h, [0.1, pt.x], [1.0, pt.y], 1)
 
 
 # ---------------------------------------------------------------------------
