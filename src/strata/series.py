@@ -264,22 +264,22 @@ def seed(k: int, n: int, m: int, beta: BetaProfile) -> ModularFunction:
 
 
 def _radius_needed(beta: BetaProfile, x, y) -> int | None:
-    """Smallest coset radius that provably covers the support condition.
+    """Smallest coset radius that provably covers the support condition at
+    every point.
 
     A coset ``(c, d)`` can contribute at ``(x, y)`` only if
     ``|c tau + d|^2 <= y / y0``; for ``c != 0`` this forces both
     ``|c| <= (y0 y)^(-1/2)`` and ``y <= 1 / (c^2 y0)``, hence
     ``|d| <= |c| |x| + 1 / (|c| y0)``, while ``c = 0`` only ever needs
-    ``|d| = 1`` (coprimality).
+    ``|d| = 1`` (coprimality).  The bound is taken per point, so a batch
+    needs no more than its most demanding point.
     """
     if beta.support is None:
         return None
     y0 = beta.support[0]
-    ymin = float(np.min(y))
-    xmax = float(np.max(np.abs(x)))
-    cmax = math.sqrt(1.0 / (y0 * ymin))
-    dmax = max(1.0, xmax * max(cmax, 1.0) + 1.0 / y0)
-    return int(math.ceil(max(cmax, dmax)))
+    cmax = np.sqrt(1.0 / (y0 * y))
+    dmax = np.maximum(1.0, np.abs(x) * np.maximum(cmax, 1.0) + 1.0 / y0)
+    return int(math.ceil(np.max(np.maximum(cmax, dmax))))
 
 
 def poincare(k: int, n: int, m: int, beta: BetaProfile,

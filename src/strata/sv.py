@@ -58,7 +58,8 @@ from .saff import (
     reduce_to_fundamental,
     sample_masur_veech,
 )
-from .special import RadialProfile, hankel_transform
+from .special import (RadialProfile, _as_values, _uniform_spline,
+                      hankel_transform)
 from .operators import partial_derivative
 
 __all__ = [
@@ -100,7 +101,8 @@ class PlaneFunction:
     complex holonomy vector.
 
     ``fn`` must accept a complex numpy array; values outside the support
-    radius are forced to zero by ``__call__``.  ``k_type`` records the
+    radius are forced to zero by ``__call__``; they are float64 for a real
+    ``fn`` and complex128 for a complex one.  ``k_type`` records the
     rotational type ``f = f0(r) exp(i k theta)`` when the function has one
     (``None`` for a generic function); it is used as the weight label of
     the transform.
@@ -113,21 +115,22 @@ class PlaneFunction:
 
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=complex)
-        vals = np.asarray(self.fn(zeta), dtype=complex)
-        return np.where(np.abs(zeta) <= self.support_radius, vals, 0.0)
+        return np.where(np.abs(zeta) <= self.support_radius,
+                        _as_values(self.fn(zeta)), 0.0)
 
 
 def k_type_function(f0: RadialProfile, k: int) -> PlaneFunction:
     """Build the plane function ``f0(|zeta|) exp(i k arg zeta)``.
 
     The value at the origin is ``f0(0)`` for ``k = 0`` and ``0`` otherwise
-    (the phase has no continuous extension there).
+    (the phase has no continuous extension there).  Values are ``f0``'s
+    own for ``k = 0`` (float64 for a real profile) and complex otherwise.
     """
 
     def fn(zeta):
         zeta = np.asarray(zeta, dtype=complex)
         r = np.abs(zeta)
-        vals = np.asarray(f0(r), dtype=complex)
+        vals = np.asarray(f0(r))
         if k == 0:
             return vals
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,7 +157,8 @@ def plane_integral(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
                    ) -> complex:
     """Integral of ``f`` over the plane (polar Gauss--Legendre x trapezoid)."""
     zz, ww = _polar_grid(f.support_radius, n_r, n_theta)
-    return complex(np.sum(f(zz) * ww))
+    # summed as complex, so a real f sums the same way as a complex one
+    return complex(np.sum(f(zz).astype(complex) * ww))
 
 
 def plane_l2_norm_sq(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
@@ -194,6 +198,12 @@ class MarkedTorus:
         return MarkedTorus(mv(self.b1), mv(self.b2), mv(self.z))
 
 
+def _check_M(M) -> None:
+    """Raise ``ValueError`` unless ``M`` is an integer ``>= 1`` (not a bool)."""
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError("M must be a positive integer")
+
+
 def _torus_pairs(t: MarkedTorus, z: complex, M: int, R: float):
     """Integer pairs ``(a, b)`` covering ``|z + (a b1 + b b2)/M| <= R``.
 
@@ -216,8 +226,7 @@ def config_rel_M(t: MarkedTorus, M: int, R: float) -> np.ndarray:
 
     Returns a complex array sorted lexicographically by (real, imag).
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    _check_M(M)
     aa, bb = _torus_pairs(t, t.z, M, R)
     w = t.z + (aa * t.b1 + bb * t.b2) / M
     w = w[np.abs(w) <= R]
@@ -248,15 +257,16 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     (a few MB of temporaries) by the per-sample bound
     ``(2 rho / y + 1)(2 rho + 1)``, ``rho = M R sqrt(y)``; a sample is never
     split, so one over the budget runs alone.  Values do not depend on the
-    runs.
+    runs.  The result is complex; a real ``f`` sums in float64 and gets
+    imaginary part ``+0.0``.
 
     Raises
     ------
     ValueError
-        If ``M < 1``, a coordinate is not finite, or some ``y <= 0``.
+        If ``M`` is not an integer ``>= 1``, a coordinate is not finite, or
+        some ``y <= 0``.
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    _check_M(M)
     xx, yy, uu, vv = np.broadcast_arrays(
         np.asarray(x, float), np.asarray(y, float),
         np.asarray(u, float), np.asarray(v, float))
@@ -272,12 +282,17 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
             M * us, M * vs, xs, ys, M * R * sq)
         t = (vs[row_sample] + a * ys[row_sample] / M) / sq[row_sample]
         ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sq[row_sample]
-        re = (u_row[point_row] + (ax[point_row] + b) / M) / sq_row[point_row]
-        vals = f(re + 1j * t[point_row])
+        zeta = np.empty(b.size, dtype=complex)
+        zeta.real = (u_row[point_row] + (ax[point_row] + b) / M) \
+            / sq_row[point_row]
+        zeta.imag = t[point_row]
+        vals = f(zeta)
         sample = row_sample[point_row]
-        out[lo:hi] = (np.bincount(sample, weights=vals.real, minlength=hi - lo)
-                      + 1j * np.bincount(sample, weights=vals.imag,
-                                         minlength=hi - lo))
+        out.real[lo:hi] = np.bincount(sample, weights=vals.real,
+                                      minlength=hi - lo)
+        if np.iscomplexobj(vals):
+            out.imag[lo:hi] = np.bincount(sample, weights=vals.imag,
+                                          minlength=hi - lo)
     return out.reshape(shape)
 
 
@@ -295,6 +310,7 @@ def sv_rel_modular(f: PlaneFunction, M: int) -> ModularFunction:
     cocycle carries the unitary factor ``|c tau + d|^k (c tau + d)^{-k}``);
     use :func:`sv_rel_invariant` for the slash-invariant completion.
     """
+    _check_M(M)
 
     def fn(x, y, u, v):
         return sv_rel_values(f, x, y, u, v, M)
@@ -309,6 +325,7 @@ def sv_rel_invariant(f: PlaneFunction, M: int) -> ModularFunction:
     left half-space action used throughout, ``y^{k/2} SV_M(f)`` satisfies
     ``phi |_{-k} gamma = phi`` exactly for every integral ``gamma``.
     """
+    _check_M(M)
     k = f.k_type if f.k_type is not None else 0
 
     def fn(x, y, u, v):
@@ -329,7 +346,7 @@ def sv_abs_value(f: PlaneFunction, pt: JacobiPoint) -> complex:
     """Absolute transform: sum of ``f`` over primitive lattice vectors."""
     t = MarkedTorus.from_point(pt)
     w = config_abs(t, f.support_radius)
-    return complex(np.sum(f(w)))
+    return complex(np.sum(f(w).astype(complex)))
 
 
 def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
@@ -380,6 +397,7 @@ def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     Returns ``(estimate, stderr)``; the mean identity states the value
     ``M^2`` times the plane integral of ``f``.
     """
+    _check_M(M)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
     return _batch_mean_stderr(vals, n_batches)
@@ -396,6 +414,7 @@ def sv_second_moment_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     ``y_max`` trades truncation bias against variance; use
     :func:`sv_second_moment_exact_fibre` for a variance-reduced estimate.
     """
+    _check_M(M)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
     return _batch_mean_stderr(vals * vals, n_batches)
@@ -409,7 +428,9 @@ def radial_fourier(f0: RadialProfile, rho_max: float = 4.0,
     ``fhat(rho) = 2 pi H_0 f0(2 pi rho)`` with the ``e(-x.xi)`` character
     convention; real for real ``f0``.  Values beyond ``rho_max`` are
     treated as zero, so ``rho_max`` must be taken large enough that the
-    discarded tail is negligible for the intended use.
+    discarded tail is negligible for the intended use.  The values are
+    float64: a ``CubicSpline`` on ``n_grid`` uniform points, evaluated by a
+    uniform-grid table that gives scipy's bits without its interval search.
     """
     from scipy.interpolate import CubicSpline
 
@@ -417,10 +438,11 @@ def radial_fourier(f0: RadialProfile, rho_max: float = 4.0,
     vals = 2.0 * math.pi * np.real(
         np.asarray(hankel_transform(0, f0, 2.0 * math.pi * rho)))
     spline = CubicSpline(rho, vals)
+    table = _uniform_spline(spline.x, spline.c)
 
     def fn(r):
         r = np.asarray(r, float)
-        return np.where(r <= rho_max, spline(np.minimum(r, rho_max)), 0.0)
+        return np.where(r <= rho_max, table(np.minimum(r, rho_max)), 0.0)
 
     return RadialProfile(fn, rho_max)
 
@@ -444,8 +466,10 @@ def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a coordinate is not finite or some ``y <= 0``.
+        If ``M`` is not an integer ``>= 1``, a coordinate is not finite, or
+        some ``y <= 0``.
     """
+    _check_M(M)
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
     _check_points(x=x, y=y)
@@ -481,6 +505,7 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     (the 4-coordinate section drops the frame angle, which is immaterial
     exactly when ``f`` is rotation-invariant).
     """
+    _check_M(M)
     fhat = radial_fourier(f0, rho_max, n_grid)
     h = RadialProfile(lambda r: _real_profile_values(fhat, r) ** 2, rho_max)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
@@ -502,6 +527,7 @@ def sv_coefficient_prediction(f0: RadialProfile, k: int, M: int, m: int,
     order-k Hankel transform; every index with ``n != 0`` or ``m-index not
     a multiple of M`` carries coefficient zero.
     """
+    _check_M(M)
     if m == 0:
         raise ValueError("m must be nonzero")
     y = np.asarray(y, dtype=float)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from strata.saff import (
+    _RENORM_EVERY,
     IwasawaCoords,
     JacobiPoint,
     MasurVeechSample,
@@ -78,6 +79,46 @@ def test_determinant_renormalization_controls_drift():
         x = rng.normal() * 0.1
         g = g @ SL2Element(math.exp(x), rng.normal() * 0.1, 0.0, math.exp(-x))
     assert abs(g.det() - 1.0) < 1e-10
+
+
+def test_renormalization_wraps_chain_and_keeps_integer_matrices():
+    rng = np.random.default_rng(17)
+    n = 2 * _RENORM_EVERY + 9
+    # random SL2(R) steps k(theta) a(e^t) n(x): the chain counter wraps
+    # before it reaches the threshold and the determinant stays at one
+    g = SL2Element.identity()
+    for _ in range(n):
+        theta, t, x = (rng.uniform(0.0, 2.0 * math.pi),
+                       rng.uniform(-0.1, 0.1), rng.normal() * 0.1)
+        c, s, e = math.cos(theta), math.sin(theta), math.exp(t)
+        g = g @ SL2Element(c * e, c * e * x - s / e, s * e, s * e * x + c / e)
+        assert 0 <= g.chain < _RENORM_EVERY
+        assert abs(g.det() - 1.0) <= 1e-12
+    # integer words: the rescale by det^(-1/2) = 1 changes no bit, which
+    # the reduction to the fundamental domain relies on
+    gens = [((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1))]
+    exact = ((1, 0), (0, 1))
+    g = SL2Element.identity()
+    wrapped = 0
+    for _ in range(n):
+        # entries stay below 1000, so every float product is exact
+        while True:
+            letter = gens[rng.integers(3)]
+            step = tuple(tuple(sum(exact[i][k] * letter[k][j] for k in (0, 1))
+                               for j in (0, 1)) for i in (0, 1))
+            if max(abs(v) for row in step for v in row) <= 1000:
+                break
+        exact = step
+        before = g.chain
+        g = g @ SL2Element(*(float(v) for row in letter for v in row))
+        wrapped += g.chain < before
+        entries = np.array([g.a, g.b, g.c, g.d])
+        assert entries.tolist() == [v for row in exact for v in row]
+        again = g.renormalized()
+        assert np.array_equal(
+            np.array([again.a, again.b, again.c, again.d]).view(np.uint64),
+            entries.view(np.uint64))
+    assert wrapped == 2
 
 
 # -- charts -----------------------------------------------------------------

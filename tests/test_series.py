@@ -239,7 +239,7 @@ _ORACLE_PROFILES = {
 }
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(k=st.integers(0, 3), n=st.sampled_from([0, 1, -2]),
        m=st.sampled_from([1, -1]), radius=st.integers(4, 12),
        xmax=st.floats(0.5, 3.0), seed=st.integers(0, 2 ** 32 - 1),
@@ -261,6 +261,15 @@ def test_series_radius_guard_raises():
     phi = poincare(2, 1, 1, beta, radius=1)
     with pytest.raises(ValueError):
         phi.fn(0.3, 0.05, 0.1, 0.02)
+
+
+def test_series_radius_guard_is_per_point():
+    # each point needs radius 5; the smallest y and the largest |x| taken
+    # together would need 17
+    E = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=12)
+    both = E.fn([0.0, 3.0], [0.05, 1.0], 0.1, 0.02)
+    single = np.array([E.fn(0.0, 0.05, 0.1, 0.02), E.fn(3.0, 1.0, 0.1, 0.02)])
+    assert np.array_equal(both.view(np.uint64), single.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

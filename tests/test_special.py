@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
+from scipy.interpolate import CubicSpline
 
 from strata.special import (
     RadialProfile,
     _hankel_rule,
+    _uniform_spline,
     bessel_j,
     gamma_w,
     hankel_transform,
@@ -46,6 +50,19 @@ def test_bessel_matches_hansen_integral():
             integrand = np.exp(-1j * k * thetas + 1j * z * np.sin(thetas))
             oracle = integrand.mean().real
             assert abs(bessel_j(k, z) - oracle) < 1e-12
+
+
+def test_bessel_order_two_recurrence_matches_jv():
+    # one upward step from j0/j1, with the small-x series down to zero and
+    # through the subnormal range
+    tiny = [0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-9, 1e-8, 1.0000001e-8]
+    x = np.concatenate([tiny, np.geomspace(1e-12, 1.0, 400),
+                        np.linspace(0.0, 2e4, 400_001)])
+    x = np.concatenate([x, -x])
+    got = bessel_j(2, x)
+    assert np.max(np.abs(got - sp.jv(2, x))) <= 2e-14
+    assert bessel_j(2, 0.0) == 0.0 and np.ndim(bessel_j(2, 0.0)) == 0
+    assert bessel_j(2, np.zeros((2, 3))).shape == (2, 3)
 
 
 # -- whittaker --------------------------------------------------------------
@@ -290,6 +307,35 @@ def test_substitutions_invert():
         assert np.max(np.abs(back(rs) - h(rs))) < 1e-14
     with pytest.raises(ValueError):
         t_transform(0, h)
+
+
+@given(n_grid=st.integers(3, 600), rho_max=st.floats(0.5, 8.0),
+       start=st.sampled_from([0.0, -0.75, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_uniform_spline_matches_scipy_bitwise(n_grid, rho_max, start, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(start, start + rho_max, n_grid)
+    spline = CubicSpline(grid, np.cos(3.0 * grid) + rng.normal(size=n_grid))
+    r = np.concatenate([
+        rng.uniform(start - 1.0, start + rho_max + 1.0, 20_000),
+        grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+        [start + rho_max, start - 1e-300, -0.0, -3.0]])
+    # a falling cubic through -0.0: scipy's sum starts at +0.0, so its value
+    # at that breakpoint is +0.0
+    t = grid - grid[n_grid // 2]
+    for spline in (spline, CubicSpline(grid, -(t + t * t + t ** 3))):
+        got = _uniform_spline(spline.x, spline.c)(r)
+        assert np.array_equal(got.view(np.uint64), spline(r).view(np.uint64))
+
+
+def test_radial_profile_keeps_real_values_real():
+    real = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.0)
+    cplx = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2) + 0j, 2.0)
+    ints = RadialProfile(lambda r: np.ones(np.shape(r), dtype=int), 2.0)
+    r = np.linspace(0.0, 3.0, 7)
+    assert real(r).dtype == np.float64 and ints(r).dtype == np.float64
+    assert cplx(r).dtype == np.complex128
+    assert np.array_equal(real(r), cplx(r).real) and real(3.0) == 0.0
 
 
 def test_radial_profile_truncates():

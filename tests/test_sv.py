@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from strata.enveloping import casimir_sl2, euclidean_rep
@@ -231,6 +233,36 @@ def test_config_requires_positive_M():
         sv_rel_values(_gauss_plane(), 0.0, 1.0, 0.0, 0.0, 0)
 
 
+_M_CALLERS = {
+    "sv_rel_values": lambda M: sv_rel_values(
+        _gauss_plane(), 0.1, 1.3, 0.2, 0.3, M),
+    "dual_norm_sum_values": lambda M: dual_norm_sum_values(
+        _gauss_profile(), [0.1], [1.3], M),
+    "sv_second_moment_exact_fibre": lambda M: sv_second_moment_exact_fibre(
+        _gauss_profile(), M, n_samples=200, n_batches=10),
+    "sv_coefficient_prediction": lambda M: sv_coefficient_prediction(
+        _gauss_profile(), 0, M, 1, [2.0]),
+    "sv_mean_mc": lambda M: sv_mean_mc(
+        _gauss_plane(), M, n_samples=200, n_batches=10),
+    "sv_second_moment_mc": lambda M: sv_second_moment_mc(
+        _gauss_plane(), M, n_samples=200, n_batches=10),
+    "sv_rel_modular": lambda M: sv_rel_modular(_gauss_plane(), M),
+    "sv_rel_invariant": lambda M: sv_rel_invariant(_gauss_plane(), M),
+    "config_rel_M": lambda M: config_rel_M(
+        MarkedTorus.from_point(JacobiPoint(0.1, 1.3, 0.2, 0.3)), M, 1.0),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_M_CALLERS))
+def test_M_must_be_positive_integer(caller):
+    # M indexes the 1/M-refined lattice: only integers >= 1 have a meaning
+    call = _M_CALLERS[caller]
+    for M in (0, -1, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="^M must be a positive integer"):
+            call(M)
+    call(np.int64(2))
+
+
 @pytest.mark.parametrize("pt, name", [
     (JacobiPoint(0.3, math.nan, 0.1, 0.2), "y"),
     (JacobiPoint(0.3, -1.0, 0.1, 0.2), "y"),
@@ -301,6 +333,43 @@ def test_lattice_sums_batch_equals_single():
         single = [dual_norm_sum_values(h, xs[i], ys[i], M)[0]
                   for i in range(n)]
         assert np.array_equal(batch, single)
+
+
+def _jump_profile():
+    """Real profile with a jump of 2.7 at its support edge."""
+    return RadialProfile(lambda r: 1.0 + np.asarray(r, float), 1.7)
+
+
+_REAL_PROFILES = {
+    "gauss": lambda: RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2),
+                                   2.5),
+    "ring": _ring_profile,
+    "jump": _jump_profile,
+}
+
+
+@given(profile=st.sampled_from(sorted(_REAL_PROFILES)),
+       M=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       y_max=st.sampled_from([10.0, 1e3, 1e5]))
+def test_real_profiles_sum_in_float(profile, M, seed, y_max):
+    # a real f sums in float64 with one bincount; its complex twin sums
+    # both parts; the two must agree bit for bit, imaginary part +0.0
+    f0 = _REAL_PROFILES[profile]()
+    R = f0.support_radius
+    f = k_type_function(f0, 0)
+    twin = PlaneFunction(lambda z: f0(np.abs(z)).astype(complex), R)
+    s = sample_masur_veech(150, seed, y_max=y_max)
+    # plus points whose marked period sits on the support edge
+    x = np.concatenate([s.x, [0.0, 0.3, -0.4]])
+    y = np.concatenate([s.y, [1.0, 1.0, 4.0]])
+    u = np.concatenate([s.u, [R, 0.0, R * 2.0]])
+    v = np.concatenate([s.v, [0.0, R, 0.0]])
+    zeta = (u + 1j * v) / np.sqrt(y)
+    assert f(zeta).dtype == np.float64 and twin(zeta).dtype == np.complex128
+    got = sv_rel_values(f, x, y, u, v, M)
+    want = sv_rel_values(twin, x, y, u, v, M)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(got.imag.view(np.uint64) == 0)
 
 
 def test_dual_norm_sum_memory_bounded():
