@@ -146,38 +146,6 @@ def partial_derivative(fn, orders: tuple[int, int, int, int],
     return out
 
 
-def _chart_partial(phi_fn, orders_pq: tuple[int, int], x, y, p, q,
-                   h: float | None = None) -> np.ndarray:
-    """Mixed ``d_p^a d_q^b`` of ``phi`` in the ``(x, y, p, q)`` chart.
-
-    Differentiates ``(p, q) -> phi(x, y, q + p x, p y)`` at frozen
-    ``(x, y)`` with unit-scale steps in both chart directions.
-    """
-    da, db = orders_pq
-    ha = (_DEFAULT_H[da] if h is None else h) if da else 0.0
-    hb = (_DEFAULT_H[db] if h is None else h) if db else 0.0
-    offs_a, ws_a = _stencil(da)
-    offs_b, ws_b = _stencil(db)
-    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y),
-                                       np.shape(p), np.shape(q)),
-                   dtype=complex)
-    for oa, wa in zip(offs_a, ws_a):
-        if wa == 0.0:
-            continue
-        pp = p + oa * ha
-        for ob, wb in zip(offs_b, ws_b):
-            if wb == 0.0:
-                continue
-            qq = q + ob * hb
-            out = out + wa * wb * np.asarray(
-                phi_fn(x, y, qq + pp * x, pp * y), dtype=complex)
-    if da:
-        out = out / ha ** da
-    if db:
-        out = out / hb ** db
-    return out
-
-
 def _wrap(phi: ModularFunction, values_fn, weight: int,
           kind: str) -> ModularFunction:
     return ModularFunction(values_fn, weight=weight,
@@ -314,9 +282,14 @@ def vertical(phi: ModularFunction, route: str = "uv") -> ModularFunction:
                 np.asarray(u, float), np.asarray(v, float))
             p = v / y
             q = u - v * x / y
-            dpp = _chart_partial(phi.fn, (2, 0), x, y, p, q)
-            dqq = _chart_partial(phi.fn, (0, 2), x, y, p, q)
-            dpq = _chart_partial(phi.fn, (1, 1), x, y, p, q)
+
+            # (p, q) ride in the unit-step x and u slots at frozen (x, y)
+            def chart(pp, _yy, qq, _vv):
+                return phi.fn(x, y, qq + pp * x, pp * y)
+
+            dpp = partial_derivative(chart, (2, 0, 0, 0), p, y, q, v)
+            dqq = partial_derivative(chart, (0, 0, 2, 0), p, y, q, v)
+            dpq = partial_derivative(chart, (1, 0, 1, 0), p, y, q, v)
             return 0.25 * y * (dqq
                                + (dpp - 2.0 * x * dpq + x ** 2 * dqq) / y ** 2)
 

@@ -562,6 +562,9 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     vals1 = phi1.fn(s.x, s.y, s.u, s.v)
     vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
     vals = (vals1 * np.conj(vals2) * s.y ** k) * VOLUME_SL2
+    # Not ``sv._batch_mean_stderr``: this stderr formula differs from it in
+    # the last bits, and the series check of a ``report_v1`` report carries
+    # those bits; the two merge with the next report schema.
     usable = (n_samples // n_batches) * n_batches
     batches = vals[:usable].reshape(n_batches, -1).mean(axis=1)
     est = complex(batches.mean())

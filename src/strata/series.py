@@ -19,11 +19,13 @@ with the Eisenstein case ``n = 0``.  Each summand is
 For profiles with compact support ``[y0, y1]`` only finitely many cosets can
 contribute at a given point (``|c tau + d|^2 <= y / y0``).  The evaluator
 lists exactly those candidate pairs per point with the lattice-disc kernel
-of ``strata.saff`` (the one the Siegel--Veech sums use), so work per point
-scales with its contributing cosets, not with the ``(2r + 1)^2`` coset box;
-the coset radius ``r`` only bounds the box.  It raises if that radius
-provably cannot cover the support condition for the points being
-evaluated.
+of ``strata.saff`` (the one the Siegel--Veech sums use), keeps the coprime
+ones that pass the support mask and completes them to ``SL2(Z)`` matrices
+in one vectorized step, so work per point scales with its contributing
+cosets, not with the ``(2r + 1)^2`` coset box.  The coset radius ``r`` is
+then an exact guard: the evaluator raises exactly when a contributing coset
+has ``|c|`` or ``|d|`` above ``r``.  Profiles without compact support sum
+the whole box at every point.
 
 Reduced Fourier coefficients of the series are supported on the seed indices:
 ``cH0 = 2^(-1/2) beta(y)`` at ``(n, m)`` and ``(-1)^k 2^(-1/2) beta(y)`` at
@@ -197,39 +199,38 @@ def beta_norm_sq(beta: BetaProfile, k: int, y_min: float, y_max: float) -> float
 # ---------------------------------------------------------------------------
 
 
+def _completions(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical completions ``(a, b)`` with ``a d - b c = 1`` of coprime
+    int64 pairs ``(c, d)`` (arrays of one length): minimal ``|a|``, ties
+    toward ``a > 0``, and ``(d, 0)`` for ``c = 0``.  Coprimality is the
+    caller's contract; it is not checked.
+    """
+    mod = np.maximum(np.abs(c), 1)
+    # extended Euclid on (|c|, d mod |c|), all pairs at once, keeping
+    # r_i = s_i d (mod |c|); it ends at r0 = 1, so s0 inverts d mod |c|
+    r0, r1 = mod.copy(), d % mod
+    s0, s1 = np.zeros_like(d), np.ones_like(d)
+    live = np.flatnonzero(r1)
+    while live.size:
+        quo = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - quo * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - quo * s1[live]
+        live = live[r1[live] != 0]
+    # the completions' a run over s0 + t c; the two nearest zero are
+    # a in [0, |c|) and a - |c|, and a wins a tie (2 a = |c|)
+    a = s0 % mod
+    a = np.where(c == 0, d, np.where(2 * a > mod, a - mod, a))
+    b = (a * d - 1) // np.where(c == 0, 1, c)
+    return a, b
+
+
 def _completion(c: int, d: int) -> tuple[int, int]:
-    """Canonical (a, b) with a d - b c = 1: minimal |a|, ties toward a > 0."""
-    if c == 0:
-        return (d, 0)  # d = +/-1; the matrix is +/-identity up to shear
-    # extended gcd solves a d + b (-c) = 1 for coprime (c, d)
-    g, a0, b0 = _ext_gcd(d, -c)
-    if g != 1:
+    """Canonical ``(a, b)`` of one pair, as :func:`_completions`; raises
+    ``ValueError`` if ``(c, d)`` is not coprime."""
+    if math.gcd(c, d) != 1:
         raise ValueError(f"pair ({c}, {d}) is not coprime")
-    # family a = a0 + t c, b = b0 + t d
-    t = round(-a0 / c)
-    best = None
-    for tt in (t - 1, t, t + 1):
-        a = a0 + tt * c
-        b = b0 + tt * d
-        key = (abs(a), 0 if a > 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, (a, b))
-    return best[1]
-
-
-def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """g, x, y with x p + y q = g = gcd(p, q) (g may be negative-normalized)."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    a, b = _completions(np.array([c]), np.array([d]))
+    return int(a[0]), int(b[0])
 
 
 def coset_list(radius: int) -> list[tuple[int, int, int, int]]:
@@ -239,13 +240,8 @@ def coset_list(radius: int) -> list[tuple[int, int, int, int]]:
     distinct cosets), each completed canonically to ``[[a, b], [c, d]]`` of
     determinant one.  Ordered lexicographically in ``(c, d)``.
     """
-    out = []
-    for c, d in zip(*coprime_pairs(radius, radius)):
-        c, d = int(c), int(d)
-        a, b = _completion(c, d)
-        assert a * d - b * c == 1
-        out.append((c, d, a, b))
-    return out
+    c, d = coprime_pairs(radius, radius)
+    return list(zip(*(col.tolist() for col in (c, d, *_completions(c, d)))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,73 +259,61 @@ def seed(k: int, n: int, m: int, beta: BetaProfile) -> ModularFunction:
                            meta={"kind": "seed", "n": n, "m": m})
 
 
-def _radius_needed(beta: BetaProfile, x, y) -> int | None:
-    """Smallest coset radius that provably covers the support condition at
-    every point.
-
-    A coset ``(c, d)`` can contribute at ``(x, y)`` only if
-    ``|c tau + d|^2 <= y / y0``; for ``c != 0`` this forces both
-    ``|c| <= (y0 y)^(-1/2)`` and ``y <= 1 / (c^2 y0)``, hence
-    ``|d| <= |c| |x| + 1 / (|c| y0)``, while ``c = 0`` only ever needs
-    ``|d| = 1`` (coprimality).  The bound is taken per point, so a batch
-    needs no more than its most demanding point.
-    """
-    if beta.support is None:
-        return None
-    y0 = beta.support[0]
-    cmax = np.sqrt(1.0 / (y0 * y))
-    dmax = np.maximum(1.0, np.abs(x) * np.maximum(cmax, 1.0) + 1.0 / y0)
-    return int(math.ceil(np.max(np.maximum(cmax, dmax))))
-
-
 def poincare(k: int, n: int, m: int, beta: BetaProfile,
              radius: int = 12) -> ModularFunction:
     """Poincare series ``2^(-1/2) sum seed |_k (gamma, 0)`` over cosets.
 
     For compactly supported profiles the evaluator lists, per point, only
-    the cosets with ``|c tau + d|^2 <= y / y0``, so work per point scales
-    with its contributing cosets, not with the ``(2r + 1)^2`` box, and
-    ``radius`` only bounds the box.  For profiles without compact support
-    every box coset is summed at every point: the series is truncated at
-    ``radius`` (accuracy is then the caller's responsibility).
+    the cosets with ``|c tau + d|^2 <= y / y0`` and keeps those that pass
+    the support mask, so work per point scales with its contributing
+    cosets; ``radius`` is then only a guard, checked exactly against the
+    contributing cosets.  For profiles without compact support every coset
+    with ``|c|, |d| <= radius`` is summed at every point: the series is
+    truncated at ``radius`` (accuracy is then the caller's responsibility).
 
     Raises
     ------
     ValueError
-        If a coordinate is not finite, some ``y <= 0``, or ``radius`` is
-        provably too small for a compactly supported profile at the points.
+        If a coordinate is not finite, some ``y <= 0``, or, for a compactly
+        supported profile, a coset with ``|c|`` or ``|d|`` above ``radius``
+        contributes at one of the points.
     """
-    cc, dd, aa, bb = (np.array(col, dtype=np.int64)
-                      for col in zip(*coset_list(radius)))
-    side = 2 * radius + 1
-    # coset index of each box pair (c, d), -1 off the coset list; pairs
-    # outside the box look up the extra last slot
-    slot = np.full(side * side + 1, -1)
-    slot[(cc + radius) * side + dd + radius] = np.arange(cc.size)
+    if beta.support is None:
+        c, d = coprime_pairs(radius, radius)
+        box = (c, d, *_completions(c, d))
 
-    def candidates(x, y):
-        """Runs ``[lo, hi)`` of points with their candidate terms as
-        ``(point, coset index)`` arrays, by point, then ``(c, d)``."""
+    def terms(x, y, tau):
+        """Runs ``[lo, hi)`` of points with their terms as ``(point, jac,
+        a, b)`` arrays, ``jac = c tau + d``, by point, then ``(c, d)``."""
         if beta.support is None:
-            step = max(_POINT_BUDGET // cc.size, 1)
+            step = max(_POINT_BUDGET // box[0].size, 1)
             for lo in range(0, x.size, step):
                 hi = min(lo + step, x.size)
-                yield (lo, hi, np.repeat(np.arange(lo, hi), cc.size),
-                       np.tile(np.arange(cc.size), hi - lo))
+                point = np.repeat(np.arange(lo, hi), box[0].size)
+                c, d, a, b = (np.tile(col, hi - lo) for col in box)
+                yield lo, hi, point, c * tau[point] + d, a, b
             return
+        y0, y1 = beta.support
         # a hair of slack keeps rounding from dropping a boundary coset;
         # the exact support mask is applied to the terms
-        scale = (1.0 + 1e-9) / math.sqrt(beta.support[0])
+        scale = (1.0 + 1e-9) / math.sqrt(y0)
         for lo, hi in _runs(y, scale):
             xs, ys = x[lo:hi], y[lo:hi]
             zero = np.zeros(hi - lo)
             row_point, row_c, point_row, d = _disc_points(
                 zero, zero, xs, ys, scale * np.sqrt(ys))
             c = row_c[point_row]
-            inside = (np.abs(c) <= radius) & (np.abs(d) <= radius)
-            idx = slot[np.where(inside, (c + radius) * side + d + radius, -1)]
-            keep = idx >= 0
-            yield lo, hi, lo + row_point[point_row][keep], idx[keep]
+            coset = np.gcd(c, d) == 1
+            point, c, d = lo + row_point[point_row][coset], c[coset], d[coset]
+            jac = c * tau[point] + d
+            y2 = y[point] / (jac.real ** 2 + jac.imag ** 2)
+            keep = (y2 >= y0) & (y2 <= y1)
+            point, c, d, jac = point[keep], c[keep], d[keep], jac[keep]
+            if (np.maximum(np.abs(c), np.abs(d)) > radius).any():
+                raise ValueError(
+                    f"coset radius {radius} excludes a contributing coset "
+                    "at these points")
+            yield lo, hi, point, jac, *_completions(c, d)
 
     def fn(x, y, u, v):
         x, y, u, v = np.broadcast_arrays(
@@ -338,24 +322,11 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
         _check_points(x=x, y=y, u=u, v=v)
         shape = x.shape
         x, y, u, v = x.ravel(), y.ravel(), u.ravel(), v.ravel()
-        need = _radius_needed(beta, x, y)
-        if need is not None and need > radius:
-            raise ValueError(
-                f"coset radius {radius} insufficient (need {need}) "
-                "for these points and this support")
         tau = x + 1j * y
         zc = u + 1j * v
         out = np.zeros(x.shape, dtype=complex)
-        for lo, hi, point, idx in candidates(x, y):
-            tau_p = tau[point]
-            jac = cc[idx] * tau_p + dd[idx]
-            if beta.support is not None:
-                y0, y1 = beta.support
-                y2 = y[point] / (jac.real ** 2 + jac.imag ** 2)
-                mask = (y2 >= y0) & (y2 <= y1)
-                point, idx, tau_p, jac = (
-                    point[mask], idx[mask], tau_p[mask], jac[mask])
-            tg = (aa[idx] * tau_p + bb[idx]) / jac
+        for lo, hi, point, jac, a, b in terms(x, y, tau):
+            tg = (a * tau[point] + b) / jac
             v2 = (zc[point] / jac).imag
             phase = np.exp(2j * math.pi * (n * tg.real + m * v2 / tg.imag))
             term = jac ** (-k) * beta(tg.imag) * phase

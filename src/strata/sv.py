@@ -382,12 +382,13 @@ def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
 
 
 def _batch_mean_stderr(vals: np.ndarray, n_batches: int):
-    n = vals.size
-    usable = (n // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1).mean(axis=1)
-    est = complex(batches.mean())
-    var = batches.real.var(ddof=1) + batches.imag.var(ddof=1)
-    return est, float(math.sqrt(var / n_batches))
+    """Batch-means estimate and standard error over the leading (sample)
+    axis of ``vals`` (a remainder past ``n_batches`` equal batches is
+    dropped), as two arrays of shape ``vals.shape[1:]``."""
+    usable = (vals.shape[0] // n_batches) * n_batches
+    batches = vals[:usable].reshape(n_batches, -1, *vals.shape[1:]).mean(axis=1)
+    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
+    return batches.mean(axis=0), np.sqrt(var / n_batches)
 
 
 def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
@@ -400,7 +401,8 @@ def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     _check_M(M)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
-    return _batch_mean_stderr(vals, n_batches)
+    est, err = _batch_mean_stderr(vals, n_batches)
+    return complex(est), float(err)
 
 
 def sv_second_moment_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
@@ -417,7 +419,8 @@ def sv_second_moment_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     _check_M(M)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
-    return _batch_mean_stderr(vals * vals, n_batches)
+    est, err = _batch_mean_stderr(vals * vals, n_batches)
+    return complex(est), float(err)
 
 
 def radial_fourier(f0: RadialProfile, rho_max: float = 4.0,
@@ -511,7 +514,8 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     zero_mode = float(_real_profile_values(fhat, np.array([0.0]))[0]) ** 2
     vals = M ** 4 * (dual_norm_sum_values(h, s.x, s.y, M) + zero_mode)
-    return _batch_mean_stderr(vals.astype(complex), n_batches)
+    est, err = _batch_mean_stderr(vals.astype(complex), n_batches)
+    return complex(est), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +638,8 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
         for j, p in enumerate(p_rows):
             e = SAffElement(g, (p[0] - a[i], p[1] - b[i]))
             vals[i, j] = h(e)
-    usable = (n_samples // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1, p_rows.shape[0]).mean(axis=1)
-    est = VOLUME_SL2 * batches.mean(axis=0)
-    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
-    err = VOLUME_SL2 * np.sqrt(var / n_batches)
-    return est, err
+    est, err = _batch_mean_stderr(vals, n_batches)
+    return VOLUME_SL2 * est, VOLUME_SL2 * err
 
 
 def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
@@ -654,8 +654,7 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
     """
     p_rows = np.atleast_2d(np.asarray(p_rows, float))
     a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
-    npts = p_rows.shape[0]
-    vals = np.empty((n_samples, npts))
+    vals = np.empty((n_samples, p_rows.shape[0]))
     for i in range(n_samples):
         g = SL2Element(a[i], b[i], c[i], d[i])
         w1 = p_rows[:, 0] - a[i]
@@ -678,11 +677,8 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
         p -= np.floor(p)
         q -= np.floor(q)
         vals[i] = hb.formula(red_base.x, y_r, p, q)
-    usable = (n_samples // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1, npts).mean(axis=1)
-    est = VOLUME_SL2 * batches.mean(axis=0)
-    err = VOLUME_SL2 * np.sqrt(batches.var(axis=0, ddof=1) / n_batches)
-    return est.astype(complex), err
+    est, err = _batch_mean_stderr(vals, n_batches)
+    return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Oracles
 -------
-* coset canonicalization against brute-force minimization;
+* coset canonicalization against brute-force minimization, and on
+  generated pairs up to 10^6 against its defining properties;
 * slash-invariance of the series under explicit integral elements;
 * the reduced-coefficient identity checked through the FFT coefficient
   extractor at a height where only the two shear cosets survive;
@@ -102,6 +103,37 @@ def test_completion_rejects_non_coprime():
 
     with pytest.raises(ValueError):
         _completion(2, 4)
+
+
+def _coprime_pair(c, d, sign):
+    """``sign (c, d) / gcd(c, d)``; ``(0, 0)`` becomes ``(0, sign)``."""
+    g = gcd(c, d)
+    return (sign * c // g, sign * d // g) if g else (0, sign)
+
+
+# small entries as well, so that ties |a| = |a - c| (|c| = 2) come up
+_ENTRY = st.one_of(st.integers(-4, 4), st.integers(-10 ** 6, 10 ** 6))
+
+
+@given(pairs=st.lists(st.tuples(_ENTRY, _ENTRY, st.sampled_from([1, -1])),
+                      min_size=1, max_size=50),
+       k=st.integers(2, 1000))
+def test_completions_property(pairs, k):
+    from strata.series import _completion, _completions
+
+    c, d = np.array([_coprime_pair(*p) for p in pairs]).T
+    a, b = _completions(c, d)
+    assert np.all(a * d - b * c == 1)
+    for ci, di, ai, bi in zip(c.tolist(), d.tolist(), a.tolist(), b.tolist()):
+        if ci == 0:
+            assert (ai, bi) == (di, 0)
+            continue
+        # the other completions are a + t c, t != 0; |t| > 2 lies further out
+        for t in (-2, -1, 1, 2):
+            rival = ai + t * ci
+            assert (abs(ai), ai <= 0) < (abs(rival), rival <= 0)
+    with pytest.raises(ValueError):
+        _completion(k * int(c[0]), k * int(d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +293,19 @@ def test_series_radius_guard_raises():
     phi = poincare(2, 1, 1, beta, radius=1)
     with pytest.raises(ValueError):
         phi.fn(0.3, 0.05, 0.1, 0.02)
+
+
+def test_series_radius_guard_is_exact():
+    # at tau = 3 + i the coset (1, -3) maps the point to height 1, inside
+    # the support; radius 3 holds every contributing coset (a guard from a
+    # bound on the point would ask for 5), radius 2 does not
+    beta = beta_bump(0.8, 1.6)
+    got = poincare(2, 1, 1, beta, radius=3).fn(3.0, 1.0, 0.1, 0.02)
+    want = poincare(2, 1, 1, beta, radius=12).fn(3.0, 1.0, 0.1, 0.02)
+    assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                          np.atleast_1d(want).view(np.uint64))
+    with pytest.raises(ValueError):
+        poincare(2, 1, 1, beta, radius=2).fn(3.0, 1.0, 0.1, 0.02)
 
 
 def test_series_radius_guard_is_per_point():
