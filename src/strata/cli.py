@@ -204,7 +204,7 @@ def run_operators(cfg: RunConfig) -> list[dict]:
 def run_series(cfg: RunConfig) -> list[dict]:
     seed = _suite_seed(cfg.seed, "series")
     beta = beta_bump(0.8, 1.6)
-    E = eisenstein(2, 1, beta, radius=min(cfg.r_coset, 12))
+    E = eisenstein(2, 1, beta, radius=cfg.r_coset)
     y0 = 1.1
     c = coeff_H0(E, 0, 1, y0, QuadratureSpec(16, 16, 64))
     want = float(beta(np.array([y0]))[0].real) / math.sqrt(2.0)
@@ -298,7 +298,7 @@ def run_sv(cfg: RunConfig) -> list[dict]:
 
 
 def run_fourier(cfg: RunConfig) -> list[dict]:
-    E = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=min(cfg.r_coset, 12))
+    E = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=cfg.r_coset)
     resid = relation_T_H0_residual(E, 0.3 + 1.1j, 1)
     checks = [_check(
         "torus and Heisenberg coefficient systems agree", 0.0,

@@ -36,13 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .saff import (
-    IwasawaCoords,
-    ModularFunction,
-    SAffElement,
-    iwasawa_from_element,
-    lift_eval_arrays,
-)
+from .saff import ModularFunction, SAffElement, lift_eval_arrays
 
 __all__ = [
     "QuadratureSpec",
@@ -141,17 +135,16 @@ def coeff_H0(phi: ModularFunction, n: int, m: int, y: float,
 
 
 def relation_T_H0_residual(phi: ModularFunction, tau: complex, m: int,
-                           n_range: int = 8,
                            spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Consistency of the two coefficient systems.
 
     Returns ``|cT(phi; m, 0; tau) - sum_n cH0(phi; n, m; y) e(n x)|`` with the
-    sum over ``|n| <= n_range``.
+    sum over ``|n| <= 8``.
     """
     lhs = coeff_T(phi, m, 0, tau, spec)
     table = coeff_H0_table(phi, tau.imag, spec)
     rhs = 0.0 + 0.0j
-    for n in range(-n_range, n_range + 1):
+    for n in range(-8, 9):
         rhs += table[n % spec.nx, m % spec.nv] * np.exp(2j * math.pi * n * tau.real)
     return abs(lhs - rhs)
 
@@ -270,13 +263,12 @@ def heisenberg_average(phi: ModularFunction, n: int, m: int, e: SAffElement,
     return complex((vals * np.conj(chi)).mean())
 
 
-def coeffs_to_csv(rows: Iterable[tuple], header: tuple = ("n", "m", "y", "re", "im")
-                  ) -> str:
+def coeffs_to_csv(rows: Iterable[tuple]) -> str:
     """Render coefficient rows as CSV text (deterministic ordering is the
     caller's responsibility)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(("n", "m", "y", "re", "im"))
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()

@@ -146,10 +146,23 @@ def partial_derivative(fn, orders: tuple[int, int, int, int],
     return out
 
 
-def _wrap(phi: ModularFunction, values_fn, weight: int,
-          kind: str) -> ModularFunction:
-    return ModularFunction(values_fn, weight=weight,
-                           meta={"kind": kind, "of": phi.meta.get("kind")})
+def _frozen(fn, p, q):
+    """``fn`` with ``(x, y)`` free at frozen torus coordinates ``(p, q)``."""
+
+    def frozen(xx, yy, _uu, _vv):
+        return fn(xx, yy, q + p * xx, p * yy)
+
+    return frozen
+
+
+def _chart(fn, x, y):
+    """``fn`` with ``(p, q)`` in the unit-step ``x`` and ``u`` slots at
+    frozen ``(x, y)``."""
+
+    def chart(pp, _yy, qq, _vv):
+        return fn(x, y, qq + pp * x, pp * y)
+
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +183,7 @@ def lowering(phi: ModularFunction) -> ModularFunction:
         return (-1j * y ** 2 * (dx + 1j * dy)
                 - 1j * y * v * (du + 1j * dv))
 
-    return _wrap(phi, fn, phi.weight - 2, "lowering")
+    return ModularFunction(fn, phi.weight - 2)
 
 
 def raising(phi: ModularFunction) -> ModularFunction:
@@ -189,7 +202,7 @@ def raising(phi: ModularFunction) -> ModularFunction:
                 + 1j * (v / y) * (du - 1j * dv)
                 + (k / y) * base)
 
-    return _wrap(phi, fn, k + 2, "raising")
+    return ModularFunction(fn, k + 2)
 
 
 def h_lowering(phi: ModularFunction) -> ModularFunction:
@@ -200,7 +213,7 @@ def h_lowering(phi: ModularFunction) -> ModularFunction:
         dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
         return -0.5j * np.asarray(y, float) * (du + 1j * dv)
 
-    return _wrap(phi, fn, phi.weight - 1, "h_lowering")
+    return ModularFunction(fn, phi.weight - 1)
 
 
 def h_raising(phi: ModularFunction) -> ModularFunction:
@@ -211,7 +224,7 @@ def h_raising(phi: ModularFunction) -> ModularFunction:
         dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
         return 0.5j * (du - 1j * dv)
 
-    return _wrap(phi, fn, phi.weight + 1, "h_raising")
+    return ModularFunction(fn, phi.weight + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +262,7 @@ def foliated(phi: ModularFunction, route: str = "uv") -> ModularFunction:
             x, y, u, v = np.broadcast_arrays(
                 np.asarray(x, float), np.asarray(y, float),
                 np.asarray(u, float), np.asarray(v, float))
-            p = v / y
-            q = u - v * x / y
-
-            def frozen(xx, yy, _uu, _vv):
-                return phi.fn(xx, yy, q + p * xx, p * yy)
-
+            frozen = _frozen(phi.fn, v / y, u - v * x / y)
             dxx = partial_derivative(frozen, (2, 0, 0, 0), x, y, u, v)
             dyy = partial_derivative(frozen, (0, 2, 0, 0), x, y, u, v)
             dx = partial_derivative(frozen, (1, 0, 0, 0), x, y, u, v)
@@ -262,7 +270,7 @@ def foliated(phi: ModularFunction, route: str = "uv") -> ModularFunction:
             return (y ** 2 * (dxx + dyy)
                     - 1j * k * y * (dx + 1j * dy))
 
-    return _wrap(phi, fn, k, "foliated")
+    return ModularFunction(fn, k)
 
 
 def vertical(phi: ModularFunction, route: str = "uv") -> ModularFunction:
@@ -282,18 +290,14 @@ def vertical(phi: ModularFunction, route: str = "uv") -> ModularFunction:
                 np.asarray(u, float), np.asarray(v, float))
             p = v / y
             q = u - v * x / y
-
-            # (p, q) ride in the unit-step x and u slots at frozen (x, y)
-            def chart(pp, _yy, qq, _vv):
-                return phi.fn(x, y, qq + pp * x, pp * y)
-
+            chart = _chart(phi.fn, x, y)
             dpp = partial_derivative(chart, (2, 0, 0, 0), p, y, q, v)
             dqq = partial_derivative(chart, (0, 0, 2, 0), p, y, q, v)
             dpq = partial_derivative(chart, (1, 0, 1, 0), p, y, q, v)
             return 0.25 * y * (dqq
                                + (dpp - 2.0 * x * dpq + x ** 2 * dqq) / y ** 2)
 
-    return _wrap(phi, fn, phi.weight, "vertical")
+    return ModularFunction(fn, phi.weight)
 
 
 def total(phi: ModularFunction) -> ModularFunction:
@@ -315,7 +319,7 @@ def total(phi: ModularFunction) -> ModularFunction:
                 + 1j * y ** 2 * dyuv
                 + 0.5j * y * v * (duuu + duvv))
 
-    return _wrap(phi, fn, k, "total")
+    return ModularFunction(fn, k)
 
 
 def compound(phi: ModularFunction, eps: float) -> ModularFunction:
@@ -326,9 +330,7 @@ def compound(phi: ModularFunction, eps: float) -> ModularFunction:
     def fn(x, y, u, v):
         return fol.fn(x, y, u, v) + eps * ver.fn(x, y, u, v)
 
-    out = _wrap(phi, fn, phi.weight, "compound")
-    out.meta["eps"] = eps
-    return out
+    return ModularFunction(fn, phi.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -516,41 +518,19 @@ def quadratic_form_residual(phi: ModularFunction, psi: ModularFunction,
     psi_vals = np.asarray(psi.fn(x, y, u, v), dtype=complex)
     lhs = np.sum(w4 * (-compound_vals) * np.conj(psi_vals) * y ** (k - 2))
 
-    def chart_d1(f, axis):
-        """First derivative along one (x, y, p, q) chart axis."""
-        offs, ws = _stencil(1)
-        hstep = _DEFAULT_H[1]
-        acc = np.zeros(x.shape, dtype=complex)
-        for o, wgt in zip(offs, ws):
-            if wgt == 0.0:
-                continue
-            t = o * hstep
-            if axis == "x":
-                vals = f(x + t, y, q + p * (x + t), p * y)
-            elif axis == "y":
-                vals = f(x, y * (1 + t), q + p * x, p * y * (1 + t))
-            elif axis == "p":
-                vals = f(x, y, q + (p + t) * x, (p + t) * y)
-            else:
-                vals = f(x, y, (q + t) + p * x, p * y)
-            acc = acc + wgt * np.asarray(vals, dtype=complex)
-        der = acc / hstep
-        if axis == "y":
-            der = der / y
-        return der
+    def chart_grad(f):
+        """``d_x, d_y`` at frozen ``(p, q)``; ``d_u, d_v`` at frozen
+        ``(x, y)``."""
+        frozen = _frozen(f, p, q)
+        chart = _chart(f, x, y)
+        f_x = partial_derivative(frozen, (1, 0, 0, 0), x, y, u, v)
+        f_y = partial_derivative(frozen, (0, 1, 0, 0), x, y, u, v)
+        f_p = partial_derivative(chart, (1, 0, 0, 0), p, y, q, v)
+        f_q = partial_derivative(chart, (0, 0, 1, 0), p, y, q, v)
+        return f_x, f_y, f_q, (f_p - x * f_q) / y
 
-    phi_x = chart_d1(phi.fn, "x")
-    phi_y = chart_d1(phi.fn, "y")
-    phi_p = chart_d1(phi.fn, "p")
-    phi_q = chart_d1(phi.fn, "q")
-    psi_x = chart_d1(psi.fn, "x")
-    psi_y = chart_d1(psi.fn, "y")
-    psi_q = chart_d1(psi.fn, "q")
-
-    phi_u = phi_q
-    psi_u = psi_q
-    phi_v = (phi_p - x * phi_q) / y
-    psi_v = (chart_d1(psi.fn, "p") - x * psi_q) / y
+    phi_x, phi_y, phi_u, phi_v = chart_grad(phi.fn)
+    psi_x, psi_y, psi_u, psi_v = chart_grad(psi.fn)
 
     rhs = np.sum(w4 * (
         y ** k * (phi_x * np.conj(psi_x) + phi_y * np.conj(psi_y))

@@ -31,7 +31,7 @@ reported alongside the sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -221,7 +221,6 @@ class ModularFunction:
 
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     weight: int
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, x, y, u, v):
         return self.fn(np.asarray(x, float), np.asarray(y, float),
@@ -258,7 +257,7 @@ def slash(phi: ModularFunction, e: SAffElement) -> ModularFunction:
         x2, y2, u2, v2, jac = _act_arrays(e, x, y, u, v)
         return jac ** (-k) * phi.fn(x2, y2, u2, v2)
 
-    return ModularFunction(fn, k, meta={"slashed": True, **phi.meta})
+    return ModularFunction(fn, k)
 
 
 def element_from_iwasawa(c: IwasawaCoords) -> SAffElement:
@@ -349,10 +348,11 @@ def lift_eval_arrays(phi: ModularFunction, gmats: np.ndarray, ws: np.ndarray) ->
 
 
 _S = SL2Element(0.0, -1.0, 1.0, 0.0)
+# Steps of the reduction loop; valid inputs settle long before.
+_REDUCE_MAX_ITER = 128
 
 
-def reduce_to_fundamental(pt: JacobiPoint, max_iter: int = 128
-                          ) -> tuple[JacobiPoint, SAffElement]:
+def reduce_to_fundamental(pt: JacobiPoint) -> tuple[JacobiPoint, SAffElement]:
     """Move a point into the fundamental domain of the integer subgroup.
 
     The base of the returned point satisfies ``|x| <= 1/2`` and ``|tau| >= 1``
@@ -367,8 +367,8 @@ def reduce_to_fundamental(pt: JacobiPoint, max_iter: int = 128
     ValueError
         If a coordinate is not finite or ``y <= 0``.
     RuntimeError
-        If the reduction loop fails to settle within ``max_iter`` steps
-        (cannot happen for valid inputs).
+        If the reduction loop fails to settle within ``_REDUCE_MAX_ITER``
+        steps (cannot happen for valid inputs).
     """
     if not math.isfinite(pt.x + pt.y + pt.u + pt.v):   # cheap common case
         for name in ("x", "y", "u", "v"):
@@ -378,7 +378,7 @@ def reduce_to_fundamental(pt: JacobiPoint, max_iter: int = 128
         raise ValueError("point must have y > 0")
     gamma = SAffElement.identity()
     cur = pt
-    for _ in range(max_iter):
+    for _ in range(_REDUCE_MAX_ITER):
         shift = -math.floor(cur.x + 0.5)
         if shift != 0:
             step = SAffElement.from_sl2(SL2Element(1.0, float(shift), 0.0, 1.0))

@@ -37,8 +37,8 @@ invisible at even weight), and the squared Petersson norm collapses to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -53,7 +53,7 @@ from .saff import (
     _runs,
     coprime_pairs,
 )
-from .special import gamma_w, whittaker_w
+from .special import _as_values, gamma_w, whittaker_w
 
 __all__ = [
     "BetaProfile",
@@ -77,17 +77,16 @@ class BetaProfile:
     """Seed profile ``beta(y)`` with optional compact support.
 
     ``fn`` must be vectorized over ``y``; outside ``support`` (when given)
-    values are forced to zero.  ``meta`` records construction parameters
-    (decay rates, spectral parameters) for reporting.
+    values are forced to zero.  Values are float64 for a real ``fn`` and
+    complex128 for a complex one.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        vals = np.asarray(self.fn(y), dtype=complex)
+        vals = _as_values(self.fn(y))
         if self.support is not None:
             y0, y1 = self.support
             vals = np.where((y >= y0) & (y <= y1), vals, 0.0)
@@ -108,7 +107,7 @@ def beta_bump(y0: float, y1: float) -> BetaProfile:
         out[inside] = np.exp(-1.0 / (1.0 - tt * tt))[inside]
         return out
 
-    return BetaProfile(fn, support=(y0, y1), meta={"kind": "bump"})
+    return BetaProfile(fn, support=(y0, y1))
 
 
 def beta_discrete(k: int, n: int) -> BetaProfile:
@@ -125,7 +124,7 @@ def beta_discrete(k: int, n: int) -> BetaProfile:
                         * np.exp(-2.0 * math.pi * (-n) * np.asarray(y, float)))
     else:
         raise ValueError("discrete profile needs k >= 2, n > 0 or k <= -2, n < 0")
-    return BetaProfile(fn, meta={"kind": "discrete", "k": k, "n": n})
+    return BetaProfile(fn)
 
 
 def beta_whittaker(k: int, n: int, psi: Callable[[np.ndarray], np.ndarray],
@@ -159,8 +158,7 @@ def beta_whittaker(k: int, n: int, psi: Callable[[np.ndarray], np.ndarray],
             out = out + w * pv * nrm * np.asarray(wvals) * y ** (-k / 2.0)
         return pref * out
 
-    return BetaProfile(fn, meta={"kind": "whittaker", "k": k, "n": n,
-                                 "t_support": t_support, "n_t": n_t})
+    return BetaProfile(fn)
 
 
 def beta_ypower(k: int, psi: Callable[[np.ndarray], np.ndarray],
@@ -182,8 +180,7 @@ def beta_ypower(k: int, psi: Callable[[np.ndarray], np.ndarray],
         packet = (psis * ws) @ (osc + sign * osc.conj())
         return y ** ((1.0 - k) / 2.0) * packet
 
-    return BetaProfile(fn, meta={"kind": "ypower", "k": k, "sign": sign,
-                                 "t_support": t_support})
+    return BetaProfile(fn)
 
 
 def beta_norm_sq(beta: BetaProfile, k: int, y_min: float, y_max: float) -> float:
@@ -255,8 +252,7 @@ def seed(k: int, n: int, m: int, beta: BetaProfile) -> ModularFunction:
     def fn(x, y, u, v):
         return beta(y) * np.exp(2j * math.pi * (n * x + m * v / y))
 
-    return ModularFunction(fn, weight=k,
-                           meta={"kind": "seed", "n": n, "m": m})
+    return ModularFunction(fn, weight=k)
 
 
 def poincare(k: int, n: int, m: int, beta: BetaProfile,
@@ -335,17 +331,13 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
             out.imag[lo:hi] = np.bincount(point - lo, term.imag, hi - lo)
         return (out / math.sqrt(2.0)).reshape(shape)
 
-    return ModularFunction(fn, weight=k,
-                           meta={"kind": "poincare", "n": n, "m": m,
-                                 "radius": radius})
+    return ModularFunction(fn, weight=k)
 
 
 def eisenstein(k: int, m: int, beta: BetaProfile,
                radius: int = 12) -> ModularFunction:
     """Eisenstein case of the series (seed frequency ``n = 0``)."""
-    phi = poincare(k, 0, m, beta, radius)
-    phi.meta = {**phi.meta, "kind": "eisenstein"}
-    return phi
+    return poincare(k, 0, m, beta, radius)
 
 
 # ---------------------------------------------------------------------------

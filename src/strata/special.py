@@ -23,7 +23,7 @@ is harmless, because the panels end there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
@@ -191,7 +191,6 @@ class RadialProfile:
 
     fn: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

@@ -80,8 +80,8 @@ class ModeGrid:
         s = np.linspace(0.0, 1.0, self.n_points) ** self.grading
         return self.y_min * (self.y_max / self.y_min) ** s
 
-    def refined(self, factor: int = 2) -> "ModeGrid":
-        return replace(self, n_points=factor * self.n_points)
+    def refined(self) -> "ModeGrid":
+        return replace(self, n_points=2 * self.n_points)
 
     def extended(self, y_min: float | None = None,
                  y_max: float | None = None) -> "ModeGrid":

@@ -37,7 +37,7 @@ Normalization notes, pinned by the tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,6 @@ from .saff import (
     _check_points,
     _disc_points,
     _runs,
-    act_on_jacobi,
     coprime_pairs,
     element_to_point,
     reduce_to_fundamental,
@@ -111,7 +110,6 @@ class PlaneFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     k_type: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=complex)
@@ -138,33 +136,34 @@ def k_type_function(f0: RadialProfile, k: int) -> PlaneFunction:
                              0.0)
         return vals * phase
 
-    return PlaneFunction(fn, f0.support_radius, k_type=k,
-                         meta={"profile": f0})
+    return PlaneFunction(fn, f0.support_radius, k_type=k)
 
 
-def _polar_grid(R: float, n_r: int, n_theta: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+# Polar rule of the plane integrals: Gauss--Legendre radii x uniform angles.
+_N_R, _N_THETA = 200, 64
+
+
+def _polar_grid(R: float):
+    nodes, weights = np.polynomial.legendre.leggauss(_N_R)
     r = 0.5 * R * (nodes + 1.0)
     wr = 0.5 * R * weights * r
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    wt = 2.0 * math.pi / n_theta
+    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
+    wt = 2.0 * math.pi / _N_THETA
     zz = r[:, None] * np.exp(1j * theta)[None, :]
     ww = wr[:, None] * wt
     return zz, ww
 
 
-def plane_integral(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
-                   ) -> complex:
+def plane_integral(f: PlaneFunction) -> complex:
     """Integral of ``f`` over the plane (polar Gauss--Legendre x trapezoid)."""
-    zz, ww = _polar_grid(f.support_radius, n_r, n_theta)
+    zz, ww = _polar_grid(f.support_radius)
     # summed as complex, so a real f sums the same way as a complex one
     return complex(np.sum(f(zz).astype(complex) * ww))
 
 
-def plane_l2_norm_sq(f: PlaneFunction, n_r: int = 200, n_theta: int = 64
-                     ) -> float:
+def plane_l2_norm_sq(f: PlaneFunction) -> float:
     """Squared Lebesgue L2 norm of ``f`` on the plane."""
-    zz, ww = _polar_grid(f.support_radius, n_r, n_theta)
+    zz, ww = _polar_grid(f.support_radius)
     return float(np.sum(np.abs(f(zz)) ** 2 * ww))
 
 
@@ -315,7 +314,7 @@ def sv_rel_modular(f: PlaneFunction, M: int) -> ModularFunction:
     def fn(x, y, u, v):
         return sv_rel_values(f, x, y, u, v, M)
 
-    return ModularFunction(fn, weight=0, meta={"M": M, "plane": f})
+    return ModularFunction(fn, weight=0)
 
 
 def sv_rel_invariant(f: PlaneFunction, M: int) -> ModularFunction:
@@ -334,7 +333,7 @@ def sv_rel_invariant(f: PlaneFunction, M: int) -> ModularFunction:
             return vals
         return np.asarray(y, dtype=float) ** (k / 2.0) * vals
 
-    return ModularFunction(fn, weight=-k, meta={"M": M, "plane": f})
+    return ModularFunction(fn, weight=-k)
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +586,6 @@ class FundamentalBump:
         pt, _theta = element_to_point(e)
         return self.on_point(pt)
 
-    def modular(self) -> ModularFunction:
-        def fn(x, y, u, v):
-            xx, yy, uu, vv = np.broadcast_arrays(
-                np.asarray(x, float), np.asarray(y, float),
-                np.asarray(u, float), np.asarray(v, float))
-            out = np.empty(xx.shape)
-            for idx in np.ndindex(xx.shape):
-                out[idx] = self.on_point(JacobiPoint(
-                    float(xx[idx]), float(yy[idx]),
-                    float(uu[idx]), float(vv[idx])))
-            return out.astype(complex)
-
-        return ModularFunction(fn, weight=0, meta={"bump": self})
-
 
 def _stabilizer_cosets(n_samples: int, seed: int, y_max: float):
     """Random elements of the conjugated-base fundamental domain.
@@ -686,15 +671,13 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def apply_euclidean(op: DiffOp, f: PlaneFunction, shrink: float = 0.0
-                    ) -> PlaneFunction:
+def apply_euclidean(op: DiffOp, f: PlaneFunction) -> PlaneFunction:
     """Apply a polynomial-coefficient plane operator to ``f`` numerically.
 
     The plane coordinates of the operator act in the chart
     ``zeta = w2 + i w1``; radial inputs are insensitive to this
     orientation.  ``f`` should be smooth across its support edge (use a
-    windowed profile); ``shrink`` optionally trims the support radius of
-    the result when ``f`` is not.
+    windowed profile).
     """
 
     def fn(zeta):
@@ -719,14 +702,12 @@ def apply_euclidean(op: DiffOp, f: PlaneFunction, shrink: float = 0.0
             out = out + complex(coeff) * w1 ** e[0] * w2 ** e[1] * der
         return out
 
-    return PlaneFunction(fn, f.support_radius - shrink, k_type=f.k_type,
-                         meta={"op": op})
+    return PlaneFunction(fn, f.support_radius, k_type=f.k_type)
 
 
 def sv_commutation_residuals(f: PlaneFunction, M: int,
                              pts: list[JacobiPoint],
-                             quadratic: DiffOp,
-                             cubic_scale: float = 1.0) -> tuple[float, float]:
+                             quadratic: DiffOp) -> tuple[float, float]:
     """Residuals of the two commutation identities at sample points.
 
     Returns ``(cubic_residual, quadratic_residual)`` where the cubic
@@ -747,7 +728,7 @@ def sv_commutation_residuals(f: PlaneFunction, M: int,
         fol_val = complex(foliated(phi).fn(*args))
         tot_val = complex(total(phi).fn(*args))
         want = complex(phi_df.fn(*args))
-        num_tot = max(num_tot, abs(cubic_scale * tot_val))
+        num_tot = max(num_tot, abs(tot_val))
         num_fol = max(num_fol, abs(fol_val - want))
         scale = max(scale, abs(want), abs(fol_val), 1e-30)
     return num_tot / scale, num_fol / scale

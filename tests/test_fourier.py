@@ -50,7 +50,7 @@ def planted_modes(k=2):
             out = out + g(y) * np.exp(TWO_PI_I * (n * x + m * v / y))
         return out
 
-    return ModularFunction(fn, weight=k, meta={"modes": gs}), gs
+    return ModularFunction(fn, weight=k), gs
 
 
 def test_coeff_h0_recovers_planted_modes():

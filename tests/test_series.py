@@ -309,8 +309,8 @@ def test_series_radius_guard_is_exact():
 
 
 def test_series_radius_guard_is_per_point():
-    # each point needs radius 5; the smallest y and the largest |x| taken
-    # together would need 17
+    # the guard checks only contributing cosets: none contributes at
+    # (0, 0.05), those at (3, 1) need radius 3, and the batch needs 3
     E = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=12)
     both = E.fn([0.0, 3.0], [0.05, 1.0], 0.1, 0.02)
     single = np.array([E.fn(0.0, 0.05, 0.1, 0.02), E.fn(3.0, 1.0, 0.1, 0.02)])
@@ -444,6 +444,18 @@ def test_bump_profile_support_and_norm():
     yy = np.linspace(0.7, 1.7, 20001)
     oracle = np.trapezoid(np.abs(beta(yy)) ** 2 * yy ** 0, yy)
     assert abs(want - oracle) / oracle < 1e-8
+
+
+def test_profile_values_keep_their_kind():
+    y = np.array([0.5, 1.0, 1.5, 2.0])
+    real = BetaProfile(lambda y: np.exp(-y), support=(0.8, 1.6))
+    cplx = BetaProfile(lambda y: np.exp(1j * y), support=(0.8, 1.6))
+    assert real(y).dtype == np.float64
+    assert beta_bump(0.8, 1.6)(y).dtype == np.float64
+    assert cplx(y).dtype == np.complex128
+    for beta in (real, cplx):
+        vals = beta(y)
+        assert np.all(vals[[0, 3]] == 0.0) and np.all(vals[1:3] != 0.0)
 
 
 def test_whittaker_profile_requires_positive_support():
