@@ -140,7 +140,15 @@ def relation_T_H0_residual(phi: ModularFunction, tau: complex, m: int,
 
     Returns ``|cT(phi; m, 0; tau) - sum_n cH0(phi; n, m; y) e(n x)|`` with the
     sum over ``|n| <= 8``.
+
+    Raises
+    ------
+    ValueError
+        If ``spec`` cannot resolve the sum: ``nx <= 16``, so ``|n| = 8`` is
+        out of band, or ``|m| >= nv / 2``.  Aliased modes would otherwise
+        be folded into the sum.
     """
+    spec.check_mode(n=8, m=m)
     lhs = coeff_T(phi, m, 0, tau, spec)
     table = coeff_H0_table(phi, tau.imag, spec)
     rhs = 0.0 + 0.0j

@@ -2,11 +2,20 @@
 Hankel-transform machinery used by the coefficient formulas.
 
 Bessel and log-gamma evaluations delegate to scipy (order-2 Bessel values
-by one recurrence step from ``j0`` / ``j1``); Whittaker functions with
-imaginary second parameter delegate to mpmath (``whitw`` / ``whitm``), which
-handles the oscillatory-decaying regime in arbitrary precision.  Radial
-profiles keep the kind of their values (float64 or complex128), and a
-uniform-grid table evaluates cubic splines bitwise like scipy's ``PPoly``.
+by one recurrence step from ``j0`` / ``j1``).  The Whittaker function
+``W_{kappa, it}`` of the continuous spectrum (real ``kappa``,
+``0 < |t| <= 4``, ``x >= 1e-12``) is computed in float64, vectorized over
+``x``: a trapezoidal rule on the Laplace integral of ``W`` (DLMF 13.16.5)
+in ``s = log u`` on a contour rotated by a fixed angle, which converges
+exponentially for this analytic integrand (Trefethen and Weideman, SIAM
+Rev. 56 (2014) 385), at a starting order at or below -1, then the
+contiguous relation in ``kappa`` (DLMF 13.15.11) up to ``kappa``.  Its
+error stays below 1e-12 of the largest ``|W|`` on a grid, checked against
+mpmath.  Every other Whittaker case (real ``mu``, ``|t| > 4``, tiny ``x``),
+``whittaker_m`` and the ODE residual oracle stay on mpmath (``whitw`` /
+``whitm`` at 30 digits).  Radial profiles keep the kind of their values
+(float64 or complex128), and a uniform-grid table evaluates cubic splines
+bitwise like scipy's ``PPoly``.
 
 The Hankel transform of a compactly supported radial profile uses a
 fixed-node rule: 24-point Gauss-Legendre panels of equal width on the
@@ -99,19 +108,113 @@ def _whit(fun, kappa, mu, x) -> complex:
         return complex(val)
 
 
+# Trapezoidal rule for W_{kappa, it}: nodes s = j h, j in _W_NODES, on the
+# rotated contour u = exp(s + i theta) of the Laplace integral.  The rule's
+# error falls like exp(-2 pi d / h), d = pi/2 - theta the distance to the
+# edge of the strip where exp(-x u) decays, about 3e-16 at h = 3/16 (which
+# also keeps every node exact); theta damps the oscillation of u^(2it),
+# which on the real axis cancels about exp(pi t) in the sum.
+# The nodes reach s = 32, where exp(-x u) has decayed for every
+# x >= _W_X_MIN, and s = -34.5, where the left tail u^(1/2 - kappa0) of a
+# starting order kappa0 <= -1 is below 1e-17 of W at every x where W does
+# not underflow.
+_W_STEP = 0.1875
+_W_NODES = (-184, 172)
+_W_ROTATION = 0.5
+_W_X_MIN = 1e-12
+# Past this t the remaining cancellation, about exp((pi - 2 theta) t), costs
+# more than three digits.
+_W_T_MAX = 4.0
+# Entries of one (x, node) block of exp(-x u) (16 MiB of complex128).
+_W_BUDGET = 1 << 20
+
+
+def _whittaker_w_imag(kappa: float, t: float, x: np.ndarray) -> np.ndarray:
+    """``W_{kappa, it}(x)`` (real) for real ``kappa``, ``t > 0`` and a 1-D
+    array ``x >= _W_X_MIN``.
+
+    ``W = x^(it+1/2) e^(-x/2) / Gamma(1/2+it-kappa) * integral of
+    e^(-xu) u^(it-kappa-1/2) (1+u)^(it+kappa-1/2) du`` (DLMF 13.16.5, its
+    variable scaled by ``x``) by the trapezoidal rule in ``s``,
+    ``u = e^(s + i theta)``, at ``kappa0`` and ``kappa0 - 1`` (one block of
+    ``exp(-x u)`` serves both): ``kappa0 = kappa`` for ``kappa <= -1``,
+    else ``kappa - ceil(kappa) - 1``, in ``(-2, -1]``, and ``ceil(kappa) + 1``
+    steps of DLMF 13.15.11,
+    ``W_{k+1} = (x - 2k) W_k + (mu^2 - (k - 1/2)^2) W_{k-1}``, climb to
+    ``kappa``.  Starting at or below -1 keeps the left tail short.
+    """
+    steps = max(0, math.ceil(kappa) + 1)
+    k0 = kappa - steps
+    mu = 1j * t
+    z = _W_STEP * np.arange(*_W_NODES) + 1j * _W_ROTATION
+    u = np.exp(z)
+    # h u^(mu - k0 + 1/2) (1 + u)^(mu + k0 - 1/2): the integrand times du/ds,
+    # less exp(-x u); one factor u / (1 + u) more lowers kappa by one
+    c = _W_STEP * np.exp((mu - k0 + 0.5) * z + (mu + k0 - 0.5) * np.log1p(u))
+    coeffs = (c, c * u / (1.0 + u))
+    sums = [np.empty(x.size, dtype=complex) for _ in coeffs]
+    rows = max(1, min(x.size, _W_BUDGET // u.size))
+    buf = np.empty((rows, u.size), dtype=complex)
+    for lo in range(0, x.size, rows):
+        block = buf[:min(rows, x.size - lo)]
+        np.multiply.outer(-x[lo:lo + rows], u, out=block)
+        np.exp(block, out=block)
+        for total, coef in zip(sums, coeffs):
+            # a fixed-order sum per row, so no value depends on its batch
+            total[lo:lo + rows] = np.einsum("ij,j->i", block, coef)
+    pref = (mu + 0.5) * np.log(x) - 0.5 * x
+    w_k, w_prev = (
+        (np.exp(pref - sp.loggamma(0.5 + mu - k0 + j)) * total).real
+        for j, total in enumerate(sums))
+    k = k0
+    for _ in range(steps):
+        w_k, w_prev = ((x - 2.0 * k) * w_k
+                       - (t * t + (k - 0.5) ** 2) * w_prev), w_k
+        k += 1.0
+    return w_k
+
+
 def whittaker_w(kappa, mu, x):
     """Decaying Whittaker function ``W_{kappa, mu}(x)`` (complex ``mu`` ok).
 
-    Accepts scalar or array ``x > 0``; evaluation is elementwise through
-    mpmath at 30 digits and returned as complex128.
+    Accepts scalar or array ``x``, each finite and ``> 0``; returns
+    complex128 (a complex scalar for scalar ``x``).
+
+    For real ``kappa`` and ``mu = i t`` with ``0 < |t| <= 4`` (the spectral
+    parameters of the continuous spectrum) and ``x >= 1e-12``, the value is
+    computed in float64, vectorized over ``x``: a trapezoidal rule on a
+    rotated Laplace integral at an order at or below -1, then the
+    contiguous relation in ``kappa`` up to ``kappa``.  There ``W`` is real,
+    and the imaginary part returned is exactly ``+0.0``.  Against mpmath at
+    30 digits the error stays below 1e-12 of the largest ``|W|`` over ``x``
+    in ``[1e-12, 1e3]`` (``kappa`` in ``[-2, 2]``, ``t`` in ``[0.3, 4]``);
+    pointwise relative error is larger near the zeros of the oscillating
+    ``W``.  A value depends on its own ``x`` only, not on the rest of the
+    batch.  Every other case (``mu`` not purely imaginary, complex
+    ``kappa``, ``|t| > 4``, ``x < 1e-12``) is evaluated elementwise through
+    mpmath at 30 digits, as is ``whittaker_m``.
+
+    Raises
+    ------
+    ValueError
+        If an ``x`` is not finite or not positive.
     """
     xs = np.asarray(x, dtype=float)
-    out = np.empty(xs.shape, dtype=complex)
-    for idx in np.ndindex(xs.shape):
-        out[idx] = _whit(mp.whitw, kappa, mu, xs[idx])
-    if out.shape == ():
-        return complex(out)
-    return out
+    flat = xs.ravel()
+    if not (np.isfinite(flat).all() and (flat > 0.0).all()):
+        raise ValueError("x must be finite and positive")
+    out = np.zeros(flat.size, dtype=complex)
+    by_rule = np.zeros(flat.size, dtype=bool)
+    ka, m = complex(kappa), complex(mu)
+    if ka.imag == 0.0 and m.real == 0.0 and 0.0 < abs(m.imag) <= _W_T_MAX:
+        by_rule = flat >= _W_X_MIN
+        out.real[by_rule] = _whittaker_w_imag(ka.real, abs(m.imag),
+                                              flat[by_rule])
+    for i in np.flatnonzero(~by_rule):
+        out[i] = _whit(mp.whitw, kappa, mu, flat[i])
+    if xs.ndim == 0:
+        return complex(out[0])
+    return out.reshape(xs.shape)
 
 
 def whittaker_m(kappa, mu, x):

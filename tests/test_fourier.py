@@ -108,6 +108,19 @@ def test_relation_between_t_and_h0():
         assert relation_T_H0_residual(phi, tau, m=2) < 1e-10
 
 
+def test_relation_rejects_aliasing_grid():
+    # |n| <= 8 needs nx > 16; a coarser grid would fold aliased modes in
+    phi, _ = planted_modes()
+    for nx in (8, 16):
+        with pytest.raises(ValueError, match="out of band"):
+            relation_T_H0_residual(phi, 0.2 + 0.9j, 1,
+                                   QuadratureSpec(nx, 64, 64))
+    with pytest.raises(ValueError, match="out of band"):
+        relation_T_H0_residual(phi, 0.2 + 0.9j, 4, QuadratureSpec(64, 64, 8))
+    assert relation_T_H0_residual(phi, 0.2 + 0.9j, 1,
+                                  QuadratureSpec(18, 64, 64)) < 1e-10
+
+
 def test_torus_equivariance_under_integral_elements():
     """Index transport (m~, r~) = (m a + r b, m c + r d) under the slash."""
 

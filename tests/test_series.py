@@ -310,11 +310,14 @@ def test_series_radius_guard_is_exact():
 
 def test_series_radius_guard_is_per_point():
     # the guard checks only contributing cosets: none contributes at
-    # (0, 0.05), those at (3, 1) need radius 3, and the batch needs 3
+    # (0, 0.05), those at (0.2, 0.05) need radius 5 (the value is about
+    # 10.68 - 5.70i), those at (3, 1) need radius 3, and the batch needs 5
     E = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=12)
-    both = E.fn([0.0, 3.0], [0.05, 1.0], 0.1, 0.02)
-    single = np.array([E.fn(0.0, 0.05, 0.1, 0.02), E.fn(3.0, 1.0, 0.1, 0.02)])
-    assert np.array_equal(both.view(np.uint64), single.view(np.uint64))
+    xs, ys = [0.0, 0.2, 3.0], [0.05, 0.05, 1.0]
+    batch = E.fn(xs, ys, 0.1, 0.02)
+    single = np.array([E.fn(x, y, 0.1, 0.02) for x, y in zip(xs, ys)])
+    assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+    assert abs(single[1] - (10.68 - 5.70j)) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +464,10 @@ def test_profile_values_keep_their_kind():
 def test_whittaker_profile_requires_positive_support():
     with pytest.raises(ValueError):
         beta_whittaker(2, 1, _bump_psi, (-1.0, 2.0))
+    beta = beta_whittaker(2, 1, _bump_psi, (2.0, 3.0), n_t=4)
+    for y in (-1.0, 0.0, math.nan, [0.5, -0.5]):
+        with pytest.raises(ValueError, match="x must be"):
+            beta(y)
     with pytest.raises(ValueError):
         beta_ypower(2, _bump_psi, (2.0, 3.0), sign=2)
 

@@ -2,16 +2,20 @@
 oracle (integral representation, closed form, or high-precision residual)."""
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 from scipy.interpolate import CubicSpline
 
 from strata.special import (
+    _W_BUDGET,
+    _W_NODES,
     RadialProfile,
     _hankel_rule,
     _uniform_spline,
@@ -96,6 +100,85 @@ def test_whittaker_vectorized_matches_scalar():
     vals = whittaker_w(1.0, 0.8j, xs)
     for x, v in zip(xs, vals):
         assert abs(v - whittaker_w(1.0, 0.8j, float(x))) == 0.0
+
+
+def _mp_whittaker_w(kappa, mu, xs):
+    with mp.workdps(30):
+        return np.array([complex(mp.whitw(kappa, mu, x)) for x in xs])
+
+
+@settings(max_examples=40)
+@given(kappa=st.sampled_from([j / 2.0 for j in range(-4, 5)] + [0.3, -1.7]),
+       t=st.floats(0.3, 4.0),
+       log_x=st.lists(st.floats(math.log(1e-12), math.log(1e3)),
+                      min_size=12, max_size=12))
+def test_whittaker_imaginary_order_matches_mpmath(kappa, t, log_x):
+    # the float64 rule against mpmath, relative to the grid's largest |W|:
+    # pointwise relative error is ill-posed near the zeros of the
+    # oscillating W.  Past x = 30, beyond the turning point of the ODE, W
+    # decays without zeros, and there it holds pointwise.  The imaginary
+    # part of the real W is exactly +0.0.
+    xs = np.exp(np.array(log_x))
+    got = whittaker_w(kappa, 1j * t, xs)
+    want = _mp_whittaker_w(kappa, 1j * t, xs)
+    err = np.abs(got - want)
+    assert np.max(err) <= 1e-12 * np.max(np.abs(want))
+    far = xs > 30.0
+    assert np.all(err[far] <= 1e-12 * np.abs(want[far]))
+    assert np.all(got.imag.view(np.uint64) == 0)
+
+
+def test_whittaker_kappa_recurrence():
+    # DLMF 13.15.11, W_{k+1} = (x - 2k) W_k + (mu^2 - (k - 1/2)^2) W_{k-1},
+    # builds every kappa > -1 from two quadratures; it holds for mpmath's
+    # values, and for quadratures at three orders <= -1, which it links
+    # without being used to compute any of them
+    xs = np.geomspace(1e-6, 60.0, 40)
+    for kappa, t in [(-2.0, 0.7), (-2.25, 2.2), (-2.5, 3.1)]:
+        mu = 1j * t
+
+        def residual(w, x):
+            return np.max(np.abs(w[2] - (x - 2 * kappa) * w[1]
+                                 - (mu * mu - (kappa - 0.5) ** 2) * w[0]))
+
+        quad = [whittaker_w(kappa + j, mu, xs) for j in (-1, 0, 1)]
+        scale = max(np.max(np.abs(w) * np.maximum(1.0, xs)) for w in quad)
+        assert residual(quad, xs) <= 1e-12 * scale
+        exact = [_mp_whittaker_w(kappa + j, mu, xs[::8]) for j in (-1, 0, 1)]
+        assert residual(exact, xs[::8]) <= 1e-14 * scale
+
+
+def test_whittaker_value_independent_of_batch():
+    # the batch spans three (x, node) blocks; each value equals its
+    # single-point call bit for bit, on both sides of each block edge
+    rows = _W_BUDGET // (_W_NODES[1] - _W_NODES[0])
+    xs = np.geomspace(1e-12, 800.0, 2 * rows + 7)
+    for kappa in (-1.5, -0.5, 1.5):
+        batch = whittaker_w(kappa, 1.9j, xs)
+        for i in (0, rows - 1, rows, 2 * rows, xs.size - 1):
+            single = np.atleast_1d(whittaker_w(kappa, 1.9j, xs[i]))
+            assert np.array_equal(batch[i:i + 1].view(np.uint64),
+                                  single.view(np.uint64))
+
+
+def test_whittaker_memory_bounded():
+    # 10^5 values in (x, node) blocks of a fixed budget (16 MiB); all of
+    # exp(-x u) at once would take about 570 MB
+    xs = np.geomspace(1e-3, 50.0, 100_000)
+    tracemalloc.start()
+    try:
+        whittaker_w(-0.5, 1.1j, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_whittaker_rejects_bad_x():
+    for x in (-1.0, 0.0, math.nan, math.inf, [1.0, -2.0]):
+        for mu in (0.8j, 0.25):
+            with pytest.raises(ValueError, match="x must be"):
+                whittaker_w(1.0, mu, x)
 
 
 # -- archimedean factor -----------------------------------------------------
