@@ -12,6 +12,10 @@ lower triangular) and the translation generators ``P, Q`` via
     X+/- = (H +/- i (F + G)) / 2,
     Y+/- = (P +/- i Q) / 2.
 
+The private table ``_REAL_FORMS`` is the single definition of this basis
+change: ``euclidean_rep`` and ``operators.right_regular_element`` both expand
+through it, via ``_real_words``.
+
 Everything in this module is exact: coefficients are Gaussian rationals
 (complex numbers with rational real and imaginary parts), products are
 straightened into the Poincare-Birkhoff-Witt basis, and the degree-three
@@ -26,6 +30,7 @@ Casimir acts by zero on polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -156,61 +161,56 @@ _BRACKET_TABLE: dict[tuple[int, int], dict[int, GaussianRational]] = {
 }
 
 
-class Element:
-    """Element of the universal enveloping algebra in the PBW basis.
+def _accumulate(out: dict, key, coeff) -> None:
+    """Add ``coeff`` to ``out[key]``, dropping the key when the sum is zero."""
+    acc = out.get(key, GaussianRational()) + coeff
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
 
-    ``terms`` maps PBW words -- non-decreasing tuples of generator indices --
-    to ``GaussianRational`` coefficients.  The empty word is the identity.
-    """
+
+def _add_scaled(out: dict, terms: Mapping, factor) -> None:
+    """In place ``out += factor * terms``."""
+    for key, coeff in terms.items():
+        _accumulate(out, key, coeff * factor)
+
+
+class _LinearCombination:
+    """Sparse exact linear combination: ``terms`` maps keys to nonzero
+    ``GaussianRational`` coefficients, in insertion order."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], GaussianRational] | None = None):
-        self.terms: dict[tuple[int, ...], GaussianRational] = {}
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
                 if coeff:
-                    self.terms[tuple(word)] = coeff
+                    self.terms[tuple(key)] = coeff
 
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def one() -> "Element":
-        return Element({(): ONE})
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
-
-    # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "Element") -> "Element":
+    def __add__(self, other):
         out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word, GaussianRational()) + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
-        return Element(out)
+        for key, coeff in other.terms.items():
+            _accumulate(out, key, coeff)
+        return type(self)(out)
 
-    def __neg__(self) -> "Element":
-        return Element({w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self.scale(-ONE)
 
-    def __sub__(self, other: "Element") -> "Element":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> "Element":
+    def scale(self, factor):
         factor = _coerce(factor)
-        return Element({w: c * factor for w, c in self.terms.items()})
-
-    def __mul__(self, other: "Element") -> "Element":
-        out = Element.zero()
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out = out + _straighten(w1 + w2).scale(c1 * c2)
-        return out
+        return type(self)({k: c * factor for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
@@ -220,17 +220,37 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            mono = "*".join(GENERATORS[i] for i in word) or "1"
-            bits.append(f"({self.terms[word]!r})*{mono}")
-        return " + ".join(bits)
+        keys = sorted(self.terms, key=lambda k: (len(k), k))
+        return " + ".join(f"({self.terms[k]!r})*{self._monomial(k)}"
+                          for k in keys)
+
+
+class Element(_LinearCombination):
+    """Element of the universal enveloping algebra in the PBW basis.
+
+    ``terms`` maps PBW words -- non-decreasing tuples of generator indices --
+    to ``GaussianRational`` coefficients.  The empty word is the identity.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def one() -> "Element":
+        return Element({(): ONE})
+
+    def __mul__(self, other: "Element") -> "Element":
+        out: dict = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                _add_scaled(out, _straighten(w1 + w2).terms, c1 * c2)
+        return Element(out)
+
+    @staticmethod
+    def _monomial(word: tuple[int, ...]) -> str:
+        return "*".join(GENERATORS[i] for i in word) or "1"
 
 
 def generator(name: str) -> Element:
@@ -246,20 +266,18 @@ def _straighten(word: tuple[int, ...]) -> Element:
     cached = _STRAIGHTEN_CACHE.get(word)
     if cached is not None:
         return cached
+    out = {word: ONE}
     for pos in range(len(word) - 1):
         a, b = word[pos], word[pos + 1]
         if a > b:
-            swapped = word[:pos] + (b, a) + word[pos + 2:]
-            out = _straighten(swapped)
+            out = dict(_straighten(word[:pos] + (b, a) + word[pos + 2:]).terms)
             for idx, coeff in _BRACKET_TABLE[(b, a)].items():
                 # word = swapped + [a, b] insertion with [a,b] = -[b,a].
                 lower = word[:pos] + (idx,) + word[pos + 2:]
-                out = out + _straighten(lower).scale(-coeff)
-            _STRAIGHTEN_CACHE[word] = out
-            return out
-    out = Element({word: ONE})
-    _STRAIGHTEN_CACHE[word] = out
-    return out
+                _add_scaled(out, _straighten(lower).terms, -coeff)
+            break
+    _STRAIGHTEN_CACHE[word] = Element(out)
+    return _STRAIGHTEN_CACHE[word]
 
 
 def pbw_normalize(words: Mapping[tuple[int, ...], GaussianRational]) -> Element:
@@ -276,10 +294,10 @@ def pbw_normalize(words: Mapping[tuple[int, ...], GaussianRational]) -> Element:
     Element
         The equivalent element written in the ordered PBW basis.
     """
-    out = Element.zero()
+    out: dict = {}
     for word, coeff in words.items():
-        out = out + _straighten(tuple(word)).scale(coeff)
-    return out
+        _add_scaled(out, _straighten(tuple(word)).terms, coeff)
+    return Element(out)
 
 
 def bracket(a: Element, b: Element) -> Element:
@@ -324,11 +342,11 @@ def symmetrize(element: Element) -> Element:
     canonical symmetrization; for a degree-three word the result is the sum
     of its six reorderings, each straightened back into the PBW basis.
     """
-    out = Element.zero()
+    out: dict = {}
     for word, coeff in element.terms.items():
         for perm in itertools.permutations(word):
-            out = out + _straighten(perm).scale(coeff)
-    return out
+            _add_scaled(out, _straighten(perm).terms, coeff)
+    return Element(out)
 
 
 def is_central(element: Element) -> bool:
@@ -407,7 +425,7 @@ def bracket_in_basis(name_a: str, name_b: str) -> dict[str, GaussianRational]:
 # ---------------------------------------------------------------------------
 
 
-class DiffOp:
+class DiffOp(_LinearCombination):
     """Polynomial-coefficient differential operator in two variables.
 
     ``terms`` maps ``((e1, e2), (d1, d2))`` to coefficients, standing for
@@ -415,42 +433,11 @@ class DiffOp:
     multiplications to the left of all derivatives).  Arithmetic is exact.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[tuple[int, int], tuple[int, int]], GaussianRational] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff
-
-    @staticmethod
-    def zero() -> "DiffOp":
-        return DiffOp()
+    __slots__ = ()
 
     @staticmethod
     def identity() -> "DiffOp":
         return DiffOp({((0, 0), (0, 0)): ONE})
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, GaussianRational()) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return DiffOp(out)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def scale(self, factor) -> "DiffOp":
-        factor = _coerce(factor)
-        return DiffOp({k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         """Operator composition ``self o other`` (apply ``other`` first)."""
@@ -462,27 +449,15 @@ class DiffOp:
                     for j2 in range(min(d[1], eb[1]) + 1):
                         coeff = (
                             c1 * c2
-                            * _binom(d[0], j1) * _falling(eb[0], j1)
-                            * _binom(d[1], j2) * _falling(eb[1], j2)
+                            * math.comb(d[0], j1) * math.perm(eb[0], j1)
+                            * math.comb(d[1], j2) * math.perm(eb[1], j2)
                         )
                         key = (
                             (e[0] + eb[0] - j1, e[1] + eb[1] - j2),
                             (d[0] - j1 + db[0], d[1] - j2 + db[1]),
                         )
-                        acc = out.get(key, GaussianRational()) + coeff
-                        if acc:
-                            out[key] = acc
-                        else:
-                            out.pop(key, None)
+                        _accumulate(out, key, coeff)
         return DiffOp(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def apply_monomial(self, a: int, b: int) -> dict[tuple[int, int], GaussianRational]:
         """Apply to ``w1^a w2^b``; returns exponent -> coefficient (exact)."""
@@ -490,102 +465,73 @@ class DiffOp:
         for (e, d), coeff in self.terms.items():
             if d[0] > a or d[1] > b:
                 continue
-            c = coeff * _falling(a, d[0]) * _falling(b, d[1])
-            key = (a - d[0] + e[0], b - d[1] + e[1])
-            acc = out.get(key, GaussianRational()) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            c = coeff * math.perm(a, d[0]) * math.perm(b, d[1])
+            _accumulate(out, (a - d[0] + e[0], b - d[1] + e[1]), c)
         return out
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e, d) in sorted(self.terms):
-            coeff = self.terms[(e, d)]
-            bits.append(f"({coeff!r})*w1^{e[0]}w2^{e[1]}D1^{d[0]}D2^{d[1]}")
-        return " + ".join(bits)
+    @staticmethod
+    def _monomial(key) -> str:
+        (e1, e2), (d1, d2) = key
+        return f"w1^{e1}w2^{e2}D1^{d1}D2^{d2}"
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+#: Right-translation action of the real generators on functions of the row
+#: vector ``(w1, w2)`` under the affine right action ``w -> w g + t``, in
+#: normal order: ``F = w1 d2``, ``H = w1 d1 - w2 d2``, ``G = w2 d1``,
+#: ``P = d1``, ``Q = d2``.
+_REAL_OPS: dict[str, DiffOp] = {
+    "F": DiffOp({((1, 0), (0, 1)): ONE}),
+    "H": DiffOp({((1, 0), (1, 0)): ONE, ((0, 1), (0, 1)): -ONE}),
+    "G": DiffOp({((0, 1), (1, 0)): ONE}),
+    "P": DiffOp({((0, 0), (1, 0)): ONE}),
+    "Q": DiffOp({((0, 0), (0, 1)): ONE}),
+}
+
+#: Each complex generator as a combination of the real generators F, H, G
+#: (upper triangular, diagonal, lower triangular) and P, Q (translations):
+#: ``Z = -i (F - G)``, ``X+/- = (H +/- i (F + G)) / 2``,
+#: ``Y+/- = (P +/- i Q) / 2``.
+_REAL_FORMS: dict[str, tuple[tuple[str, GaussianRational], ...]] = {
+    "Z": (("F", -I), ("G", I)),
+    "Xp": (("H", HALF), ("F", HALF * I), ("G", HALF * I)),
+    "Xm": (("H", HALF), ("F", -HALF * I), ("G", -HALF * I)),
+    "Yp": (("P", HALF), ("Q", HALF * I)),
+    "Ym": (("P", HALF), ("Q", -HALF * I)),
+}
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+def _real_words(element: Element) -> dict[tuple[str, ...], GaussianRational]:
+    """Expand ``element`` exactly into words of the real generators.
 
-
-def _d1() -> DiffOp:
-    return DiffOp({((0, 0), (1, 0)): ONE})
-
-
-def _d2() -> DiffOp:
-    return DiffOp({((0, 0), (0, 1)): ONE})
-
-
-def _w1() -> DiffOp:
-    return DiffOp({((1, 0), (0, 0)): ONE})
-
-
-def _w2() -> DiffOp:
-    return DiffOp({((0, 1), (0, 0)): ONE})
-
-
-def _real_generator_ops() -> dict[str, DiffOp]:
-    """Right-translation action of F, H, G, P, Q on functions of (w1, w2).
-
-    For the affine right action ``w -> w g + t`` of the group on row vectors,
-    the induced generator actions are
-
-        F -> w1 d/dw2,   G -> w2 d/dw1,   H -> w1 d/dw1 - w2 d/dw2,
-        P -> d/dw1,      Q -> d/dw2.
+    Every letter is replaced by its ``_REAL_FORMS`` combination; equal real
+    words are collected, and words whose coefficients cancel are dropped.
     """
-    w1d1 = _w1() * _d1()
-    w2d2 = _w2() * _d2()
-    return {
-        "F": _w1() * _d2(),
-        "G": _w2() * _d1(),
-        "H": w1d1 - w2d2,
-        "P": _d1(),
-        "Q": _d2(),
-    }
-
-
-def _generator_ops() -> dict[str, DiffOp]:
-    real = _real_generator_ops()
-    return {
-        "Z": (real["F"] - real["G"]).scale(-I),
-        "Xp": (real["H"] + (real["F"] + real["G"]).scale(I)).scale(HALF),
-        "Xm": (real["H"] - (real["F"] + real["G"]).scale(I)).scale(HALF),
-        "Yp": (real["P"] + real["Q"].scale(I)).scale(HALF),
-        "Ym": (real["P"] - real["Q"].scale(I)).scale(HALF),
-    }
+    out: dict[tuple[str, ...], GaussianRational] = {}
+    for word, coeff in element.terms.items():
+        forms = [_REAL_FORMS[GENERATORS[i]] for i in word]
+        for combo in itertools.product(*forms):
+            c = coeff
+            for _, factor in combo:
+                c = c * factor
+            _accumulate(out, tuple(name for name, _ in combo), c)
+    return out
 
 
 def euclidean_rep(element: Element) -> DiffOp:
     """Represent an enveloping-algebra element as a differential operator.
 
-    Each PBW word maps to the composition of the generator operators in word
-    order.  The generator assignment intertwines brackets with operator
-    commutators (verified exactly in the tests), so the extension to the
-    enveloping algebra is well defined.
+    Each real word of ``_real_words(element)`` maps to the composition of the
+    real-generator operators in word order.  The generator assignment
+    intertwines brackets with operator commutators (verified exactly in the
+    tests), so the extension to the enveloping algebra is well defined.
     """
-    ops = _generator_ops()
-    out = DiffOp.zero()
-    for word, coeff in element.terms.items():
+    out: dict = {}
+    for word, coeff in _real_words(element).items():
         acc = DiffOp.identity()
-        for idx in word:
-            acc = acc * ops[GENERATORS[idx]]
-        out = out + acc.scale(coeff)
-    return out
+        for name in word:
+            acc = acc * _REAL_OPS[name]
+        _add_scaled(out, acc.terms, coeff)
+    return DiffOp(out)
 
 
 def euclidean_fol_identity_op() -> DiffOp:
@@ -595,8 +541,8 @@ def euclidean_fol_identity_op() -> DiffOp:
     degree-two Casimir must match: ``euclidean_rep(8 * casimir_sl2())`` equals
     this operator exactly.
     """
-    d1 = _w1() * _d1()
-    d2 = _w2() * _d2()
+    d1 = DiffOp({((1, 0), (1, 0)): ONE})
+    d2 = DiffOp({((0, 1), (0, 1)): ONE})
     return (
         d1 * d1 + d2 * d2 + (d1 * d2).scale(2) + d1.scale(2) + d2.scale(2)
     )

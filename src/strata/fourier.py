@@ -37,6 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .saff import ModularFunction, SAffElement, lift_eval_arrays
+from .special import _gl_nodes
 
 __all__ = [
     "QuadratureSpec",
@@ -92,8 +93,12 @@ def coeff_T_table(phi: ModularFunction, tau: complex,
 
 def coeff_T(phi: ModularFunction, m: int, r: int, tau: complex,
             spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Torus coefficient ``cT(phi; m, r; tau)``."""
-    spec.check_mode(n=0, r=r, m=m)
+    """Torus coefficient ``cT(phi; m, r; tau)``.
+
+    The torus table is ``(nx, nu)``, so ``m`` must lie in the band of ``nx``
+    and ``r`` in that of ``nu``.
+    """
+    spec.check_mode(n=m, r=r)
     table = coeff_T_table(phi, tau, spec)
     return complex(table[m % spec.nx, r % spec.nu])
 
@@ -195,10 +200,7 @@ def scalar_product_via_coeffs(phi1: ModularFunction, phi2: ModularFunction,
     if phi1.weight != phi2.weight:
         raise ValueError("weights must match")
     k = phi1.weight
-    nodes, weights = np.polynomial.legendre.leggauss(n_y)
-    s0, s1 = math.log(y_min), math.log(y_max)
-    ss = 0.5 * (s1 - s0) * nodes + 0.5 * (s1 + s0)
-    ww = 0.5 * (s1 - s0) * weights
+    ss, ww = _gl_nodes(math.log(y_min), math.log(y_max), n_y)
     total = 0.0 + 0.0j
     for s, w in zip(ss, ww):
         y = math.exp(s)

@@ -62,8 +62,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .enveloping import Element, GENERATORS
+from .enveloping import Element, _real_words
 from .saff import ModularFunction, SAffElement, SL2Element
+from .special import _gl_nodes
 
 __all__ = [
     "partial_derivative",
@@ -400,15 +401,6 @@ def eigen_residual(beta, k: int, n: int, lam: float, y_grid) -> float:
 # right-regular realization on the group
 # ---------------------------------------------------------------------------
 
-_REAL_EXPANSION: dict[str, tuple[tuple[complex, str], ...]] = {
-    "Z": ((-1j, "F"), (1j, "G")),
-    "Xp": ((0.5, "H"), (0.5j, "F"), (0.5j, "G")),
-    "Xm": ((0.5, "H"), (-0.5j, "F"), (-0.5j, "G")),
-    "Yp": ((0.5, "P"), (0.5j, "Q")),
-    "Ym": ((0.5, "P"), (-0.5j, "Q")),
-}
-
-
 def _exp_real(name: str, t: float) -> SAffElement:
     """One-parameter subgroup of a real basis generator."""
     if name == "F":
@@ -457,33 +449,21 @@ def right_regular_element(fun: Callable[[SAffElement], complex],
                           h: float = 1e-2) -> complex:
     """Apply an enveloping-algebra element through the right-regular action.
 
-    ``elem`` holds monomials in the complex basis; each letter is expanded
-    complex-linearly into the real generators and the resulting real words
-    are realized as nested right derivatives of ``fun`` at ``e``.
+    ``elem`` holds monomials in the complex basis; ``enveloping._real_words``
+    expands each letter complex-linearly into the real generators and
+    collects equal real words exactly, so words that cancel drop out and each
+    distinct real word is realized once, as nested right derivatives of
+    ``fun`` at ``e``.
     """
     acc = 0.0 + 0.0j
-    for word, coeff in elem.terms.items():
-        c0 = complex(coeff)
-        letters = [GENERATORS[i] for i in word]
-        expansions = [_REAL_EXPANSION[name] for name in letters]
-        for combo in product(*expansions):
-            c = c0
-            real_word = []
-            for cc, rname in combo:
-                c *= cc
-                real_word.append(rname)
-            acc += c * right_regular_word(fun, tuple(real_word), h)(e)
+    for word, coeff in _real_words(elem).items():
+        acc += complex(coeff) * right_regular_word(fun, word, h)(e)
     return acc
 
 
 # ---------------------------------------------------------------------------
 # quadratic-form identity
 # ---------------------------------------------------------------------------
-
-
-def _gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
 def quadratic_form_residual(phi: ModularFunction, psi: ModularFunction,

@@ -53,7 +53,7 @@ from .saff import (
     _runs,
     coprime_pairs,
 )
-from .special import _as_values, gamma_w, whittaker_w
+from .special import _as_values, _gl_nodes, gamma_w, whittaker_w
 
 __all__ = [
     "BetaProfile",
@@ -140,9 +140,7 @@ def beta_whittaker(k: int, n: int, psi: Callable[[np.ndarray], np.ndarray],
     t0, t1 = t_support
     if not (0.0 < t0 < t1):
         raise ValueError("t_support must sit inside the positive axis")
-    nodes, weights = np.polynomial.legendre.leggauss(n_t)
-    ts = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
-    ws = 0.5 * (t1 - t0) * weights
+    ts, ws = _gl_nodes(t0, t1, n_t)
     sgn = 1 if n > 0 else -1
     kappa = sgn * k / 2.0
     pref = 1.0 / (4.0 * math.pi * abs(n) ** 1.5)
@@ -168,9 +166,7 @@ def beta_ypower(k: int, psi: Callable[[np.ndarray], np.ndarray],
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t0, t1 = t_support
-    nodes, weights = np.polynomial.legendre.leggauss(n_t)
-    ts = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
-    ws = 0.5 * (t1 - t0) * weights
+    ts, ws = _gl_nodes(t0, t1, n_t)
     psis = np.asarray(psi(ts), dtype=complex)
 
     def fn(y):

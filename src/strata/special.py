@@ -339,6 +339,12 @@ _BESSEL_BUDGET = 1 << 21
 _MAX_PANELS = 1 << 16
 
 
+def _gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``n`` points mapped to ``[a, b]``."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
+
+
 def _hankel_rule(k: int, f0: RadialProfile, s: np.ndarray,
                  n_panels: int) -> np.ndarray:
     """Composite Gauss-Legendre rule with ``n_panels`` equal panels on

@@ -9,6 +9,8 @@ cross-checked against the bracket relations it must intertwine.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strata.enveloping import (
     DiffOp,
@@ -28,6 +30,22 @@ from strata.enveloping import (
 )
 
 GQ = GaussianRational
+
+# small Gaussian rationals, nonzero or not
+_coeffs = st.builds(
+    lambda a, b, c, d: GQ(Fraction(a, b), Fraction(c, d)),
+    st.integers(-3, 3), st.integers(1, 3),
+    st.integers(-3, 3), st.integers(1, 3))
+
+# sums of up to three PBW words of length <= 2
+_elements = st.dictionaries(
+    st.lists(st.integers(0, 4), max_size=2).map(lambda w: tuple(sorted(w))),
+    _coeffs, max_size=3).map(Element)
+
+# operators w1^e1 w2^e2 D1^d1 D2^d2 with exponents and orders <= 2
+_pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_diffops = st.dictionaries(st.tuples(_pairs, _pairs), _coeffs,
+                           max_size=3).map(DiffOp)
 
 
 # -- scalar layer -----------------------------------------------------------
@@ -108,6 +126,12 @@ def test_pbw_associativity_spot_checks():
                 assert ((a * b) * c) == (a * (b * c))
 
 
+@settings(max_examples=30)
+@given(a=_elements, b=_elements, c=_elements)
+def test_product_associative_on_generated_elements(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
 def test_straightening_is_order_independent():
     # Normalizing a fully reversed degree-4 word must agree with stepwise
     # products of generators taken left to right.
@@ -183,6 +207,27 @@ def test_rep_well_defined_on_products():
     for x in xs:
         for y in ys:
             assert euclidean_rep(x * y) == euclidean_rep(x) * euclidean_rep(y)
+
+
+@settings(max_examples=30)
+@given(a=_elements, b=_elements)
+def test_rep_multiplicative_on_generated_elements(a, b):
+    assert euclidean_rep(a * b) == euclidean_rep(a) * euclidean_rep(b)
+
+
+@settings(max_examples=40)
+@given(a=_diffops, b=_diffops, mono=_pairs)
+def test_composition_applies_right_factor_first(a, b, mono):
+    """``(A*B)`` on a monomial is ``B``'s monomial map followed by ``A``'s."""
+    want = {}
+    for (ea, eb), cb in b.apply_monomial(*mono).items():
+        for key, ca in a.apply_monomial(ea, eb).items():
+            acc = want.get(key, GQ()) + ca * cb
+            if acc:
+                want[key] = acc
+            else:
+                want.pop(key)
+    assert (a * b).apply_monomial(*mono) == want
 
 
 def test_rep_eight_casimir_equals_euler_identity():

@@ -1,6 +1,8 @@
 """Every name a ``strata`` module exports in ``__all__`` resolves, so a
-deleted function cannot leave a stale export behind, and every module-level
-import is used or exported, so a deleted caller cannot leave a stale import."""
+deleted function cannot leave a stale export behind; every module-level
+import is used or exported, so a deleted caller cannot leave a stale import;
+and every method and private function is referenced somewhere, so a deleted
+caller cannot leave a dead definition."""
 
 import ast
 import importlib
@@ -38,3 +40,35 @@ def test_module_imports_are_used(path):
             exported |= set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [n for n in imported if n not in used | exported] == []
+
+
+def _definitions(tree):
+    """Methods and module-level private functions, dunders excepted."""
+    found = [n.name for n in tree.body
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and n.name.startswith("_")]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        found += [n.name for n in cls.body
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [n for n in found if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_no_dead_definitions():
+    """Every method and private function of ``strata`` is referenced from
+    the package, its tests or its benchmark, so a deleted caller cannot
+    leave its callee behind."""
+    root = pathlib.Path(strata.__file__).parents[2]
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+    dead = [f"{path.name}:{name}" for path in SOURCES
+            for name in _definitions(ast.parse(path.read_text()))
+            if name not in referenced]
+    assert dead == []

@@ -121,6 +121,20 @@ def test_relation_rejects_aliasing_grid():
                                   QuadratureSpec(18, 64, 64)) < 1e-10
 
 
+def test_coeff_T_checks_the_torus_axes():
+    # the torus table is (nx, nu): m runs along nx and r along nu, whatever nv
+    tau = 0.2 + 0.9j
+    phi = ModularFunction(lambda x, y, u, v: np.exp(TWO_PI_I * 5 * v / y), 0)
+    coarse_v = QuadratureSpec(64, 64, 8)
+    assert abs(coeff_T(phi, 5, 0, tau, coarse_v) - 1.0) < 1e-12
+    assert abs(coeff_T(phi, -3, 0, tau, coarse_v)) < 1e-12
+    # on eight points in p the mode 5 aliases to -3; asking for it must fail
+    with pytest.raises(ValueError, match="out of band"):
+        coeff_T(phi, 5, 0, tau, QuadratureSpec(8, 64, 64))
+    with pytest.raises(ValueError, match="out of band"):
+        coeff_T(phi, 0, 5, tau, QuadratureSpec(64, 8, 64))
+
+
 def test_torus_equivariance_under_integral_elements():
     """Index transport (m~, r~) = (m a + r b, m c + r d) under the slash."""
 

@@ -373,6 +373,23 @@ def test_lift_intertwines_cubic_element():
     assert abs(lhs - rhs) / abs(rhs) < 1e-4
 
 
+def test_right_regular_element_evaluates_each_real_word_once():
+    # the cubic element expands into 32 real words, of which 8 are distinct;
+    # each nested first derivative of a word of three letters takes 4^3 calls
+    phi = _seed_phi()
+    e = SAffElement(SL2Element(1.3, 0.4, 0.2, (1 + 0.4 * 0.2) / 1.3),
+                    (0.3, -0.2))
+    calls = []
+    lifted = lift(phi)
+
+    def counted(g):
+        calls.append(g)
+        return lifted(g)
+
+    right_regular_element(counted, casimir_saff(), e)
+    assert len(calls) == 8 * 4 ** 3
+
+
 # ---------------------------------------------------------------------------
 # quadratic-form identity
 # ---------------------------------------------------------------------------
