@@ -31,7 +31,7 @@ reported alongside the sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -348,8 +348,15 @@ def lift_eval_arrays(phi: ModularFunction, gmats: np.ndarray, ws: np.ndarray) ->
 
 
 _S = SL2Element(0.0, -1.0, 1.0, 0.0)
+_T = SL2Element(1.0, 1.0, 0.0, 1.0)
 # Steps of the reduction loop; valid inputs settle long before.
 _REDUCE_MAX_ITER = 128
+
+
+def _step(step: SAffElement, cur: JacobiPoint, gamma: SAffElement
+          ) -> tuple[JacobiPoint, SAffElement]:
+    """Move ``cur`` by ``step`` and record it in ``gamma``."""
+    return act_on_jacobi(step, cur), step.compose(gamma)
 
 
 def reduce_to_fundamental(pt: JacobiPoint) -> tuple[JacobiPoint, SAffElement]:
@@ -360,7 +367,11 @@ def reduce_to_fundamental(pt: JacobiPoint) -> tuple[JacobiPoint, SAffElement]:
     ``|tau| = 1``, ``0 < x < 1/2`` the representative is flipped to ``x < 0``,
     while the corner is canonicalized to ``x = +1/2``), and the torus
     coordinates satisfy ``0 <= p, q < 1``.  Returns ``(reduced, gamma)`` with
-    ``act_on_jacobi(gamma, pt) == reduced`` and ``gamma`` integral.
+    ``gamma`` integral and ``act_on_jacobi(gamma, pt) == reduced`` up to
+    rounding; reducing ``reduced`` again returns it with the identity.  A
+    torus coordinate that rounding leaves a hair outside ``[0, 1)`` is
+    shifted by the nearest integer and set to 0 by moving ``v`` (for ``p``)
+    or ``u`` (for ``q``) within rounding.
 
     Raises
     ------
@@ -381,33 +392,35 @@ def reduce_to_fundamental(pt: JacobiPoint) -> tuple[JacobiPoint, SAffElement]:
     for _ in range(_REDUCE_MAX_ITER):
         shift = -math.floor(cur.x + 0.5)
         if shift != 0:
-            step = SAffElement.from_sl2(SL2Element(1.0, float(shift), 0.0, 1.0))
-            gamma = step.compose(gamma)
-            cur = act_on_jacobi(step, cur)
+            cur, gamma = _step(SAffElement.from_sl2(
+                SL2Element(1.0, float(shift), 0.0, 1.0)), cur, gamma)
         norm = cur.x * cur.x + cur.y * cur.y
         if norm < 1.0 - 1e-15:
-            step = SAffElement.from_sl2(_S)
-            gamma = step.compose(gamma)
-            cur = act_on_jacobi(step, cur)
+            cur, gamma = _step(SAffElement.from_sl2(_S), cur, gamma)
             continue
         if cur.x <= -0.5:
-            step = SAffElement.from_sl2(SL2Element(1.0, 1.0, 0.0, 1.0))
-            gamma = step.compose(gamma)
-            cur = act_on_jacobi(step, cur)
+            cur, gamma = _step(SAffElement.from_sl2(_T), cur, gamma)
         # Arc rule applies on the open half-arc only; the corner stays at +1/2.
         if abs(norm - 1.0) < 1e-15 and 0.0 < cur.x < 0.5 - 1e-12:
-            step = SAffElement.from_sl2(_S)
-            gamma = step.compose(gamma)
-            cur = act_on_jacobi(step, cur)
+            cur, gamma = _step(SAffElement.from_sl2(_S), cur, gamma)
         break
     else:
         raise RuntimeError("fundamental-domain reduction did not settle")
     m1 = -math.floor(cur.p)
     m2 = -math.floor(cur.q)
-    if m1 != 0 or m2 != 0:
-        step = SAffElement.translation(float(m1), float(m2))
-        gamma = step.compose(gamma)
-        cur = act_on_jacobi(step, cur)
+    if m1 == 0 and m2 == 0:
+        return cur, gamma
+    cur, gamma = _step(SAffElement.translation(float(m1), float(m2)),
+                       cur, gamma)
+    for name, (w1, w2) in (("p", (1.0, 0.0)), ("q", (0.0, 1.0))):
+        value = getattr(cur, name)
+        if not 0.0 <= value < 1.0:   # within rounding of an integer
+            n = -float(round(value))
+            cur, gamma = _step(SAffElement.translation(n * w1, n * w2),
+                               cur, gamma)
+            # exactly 0: p = v / y, q = u - v x / y
+            cur = (replace(cur, v=0.0) if name == "p"
+                   else replace(cur, u=cur.v * cur.x / cur.y))
     return cur, gamma
 
 
@@ -538,6 +551,16 @@ def sample_masur_veech(n: int, seed: int, y_max: float = 1e3) -> MasurVeechSampl
     return MasurVeechSample(x=x, y=y, p=p, q=q, seed=seed, y_max=y_max)
 
 
+def _batch_mean_stderr(vals: np.ndarray, n_batches: int):
+    """Batch-means estimate and standard error over the leading (sample)
+    axis of ``vals`` (a remainder past ``n_batches`` equal batches is
+    dropped), as two arrays of shape ``vals.shape[1:]``."""
+    usable = (vals.shape[0] // n_batches) * n_batches
+    batches = vals[:usable].reshape(n_batches, -1, *vals.shape[1:]).mean(axis=1)
+    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
+    return batches.mean(axis=0), np.sqrt(var / n_batches)
+
+
 def inner_product(phi1: ModularFunction, phi2: ModularFunction,
                   n_samples: int = 100_000, seed: int = 7,
                   y_max: float = 1e3, n_batches: int = 100
@@ -562,12 +585,5 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     vals1 = phi1.fn(s.x, s.y, s.u, s.v)
     vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
     vals = (vals1 * np.conj(vals2) * s.y ** k) * VOLUME_SL2
-    # Not ``sv._batch_mean_stderr``: this stderr formula differs from it in
-    # the last bits, and the series check of a ``report_v1`` report carries
-    # those bits; the two merge with the next report schema.
-    usable = (n_samples // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1).mean(axis=1)
-    est = complex(batches.mean())
-    err = float(np.sqrt(
-        (np.abs(batches - est) ** 2).sum() / (n_batches * (n_batches - 1))))
-    return est, err
+    est, err = _batch_mean_stderr(vals, n_batches)
+    return complex(est), float(err)

@@ -20,7 +20,8 @@ bitwise like scipy's ``PPoly``.
 The Hankel transform of a compactly supported radial profile uses a
 fixed-node rule: 24-point Gauss-Legendre panels of equal width on the
 support, about one panel per half-period of the Bessel factor, evaluated as
-one matrix product of Bessel values against the weighted profile values.
+one real product of the float64 Bessel block against two columns, the real
+and imaginary parts of the weighted profile values, so it is never copied.
 Its error is estimated by doubling the panels until two successive rules
 agree to the requested tolerance; a rule that has not settled by a fixed
 panel cap raises ``RuntimeError`` instead of returning a value.  Panels
@@ -289,7 +290,8 @@ class RadialProfile:
 
     ``fn`` must be vectorized; values for ``r > support_radius`` are set to
     zero.  Values are float64 for a real ``fn`` and complex128 for a
-    complex one; ``hankel_transform`` sums them as complex either way.
+    complex one; ``hankel_transform`` takes one real product of its Bessel
+    block against their real and imaginary parts as two columns.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -323,7 +325,7 @@ def _uniform_spline(breaks: np.ndarray, coeffs: np.ndarray
                     last).astype(np.intp)
         i += r >= breaks[i + 1]
         i -= r < breaks[i]
-        np.clip(i, 0, last, out=i)
+        i = np.clip(i, 0, last)   # a scalar r makes i a scalar: no out=
         s = r - breaks[i]
         z = s * s
         return c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
@@ -349,18 +351,18 @@ def _hankel_rule(k: int, f0: RadialProfile, s: np.ndarray,
                  n_panels: int) -> np.ndarray:
     """Composite Gauss-Legendre rule with ``n_panels`` equal panels on
     ``[0, R]`` at the frequencies ``s``: one profile call on all nodes, then
-    ``J_k(s r) @ (w r f0(r))`` in blocks of at most ``_BESSEL_BUDGET``
-    entries."""
+    the real product ``J_k(s r) @ [Re g, Im g]``, ``g = w r f0(r)``, in
+    blocks of at most ``_BESSEL_BUDGET`` entries."""
     h = f0.support_radius / n_panels
     r = (h * np.arange(n_panels)[:, None]
          + 0.5 * h * (_GL_NODES + 1.0)).ravel()
-    # complex, so the product sums the same way for every profile
-    g = (np.tile(0.5 * h * _GL_WEIGHTS, n_panels) * r * f0(r)).astype(complex)
+    g = np.tile(0.5 * h * _GL_WEIGHTS, n_panels) * r * f0(r)
+    cols = np.stack([g.real, g.imag], axis=1)
     rows = max(1, _BESSEL_BUDGET // r.size)
-    out = np.empty(s.size, dtype=complex)
+    out = np.empty((s.size, 2))
     for lo in range(0, s.size, rows):
-        out[lo:lo + rows] = bessel_j(k, np.outer(s[lo:lo + rows], r)) @ g
-    return out
+        out[lo:lo + rows] = bessel_j(k, np.outer(s[lo:lo + rows], r)) @ cols
+    return out.view(complex)[:, 0]   # each row (Re, Im) read as one complex
 
 
 def _hankel_doubling(k: int, f0: RadialProfile, s: np.ndarray,

@@ -49,6 +49,7 @@ from .saff import (
     ModularFunction,
     SAffElement,
     SL2Element,
+    _batch_mean_stderr,
     _check_points,
     _disc_points,
     _runs,
@@ -57,7 +58,7 @@ from .saff import (
     reduce_to_fundamental,
     sample_masur_veech,
 )
-from .special import (RadialProfile, _as_values, _uniform_spline,
+from .special import (RadialProfile, _as_values, _gl_nodes, _uniform_spline,
                       hankel_transform)
 from .operators import partial_derivative
 
@@ -125,10 +126,11 @@ def k_type_function(f0: RadialProfile, k: int) -> PlaneFunction:
     own for ``k = 0`` (float64 for a real profile) and complex otherwise.
     """
 
+    # f0.fn, not f0: the plane function's own mask is f0's support mask
     def fn(zeta):
         zeta = np.asarray(zeta, dtype=complex)
         r = np.abs(zeta)
-        vals = np.asarray(f0(r))
+        vals = np.asarray(f0.fn(r))
         if k == 0:
             return vals
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,21 +146,18 @@ _N_R, _N_THETA = 200, 64
 
 
 def _polar_grid(R: float):
-    nodes, weights = np.polynomial.legendre.leggauss(_N_R)
-    r = 0.5 * R * (nodes + 1.0)
-    wr = 0.5 * R * weights * r
+    r, w = _gl_nodes(0.0, R, _N_R)
     theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
     wt = 2.0 * math.pi / _N_THETA
     zz = r[:, None] * np.exp(1j * theta)[None, :]
-    ww = wr[:, None] * wt
+    ww = (w * r)[:, None] * wt
     return zz, ww
 
 
 def plane_integral(f: PlaneFunction) -> complex:
     """Integral of ``f`` over the plane (polar Gauss--Legendre x trapezoid)."""
     zz, ww = _polar_grid(f.support_radius)
-    # summed as complex, so a real f sums the same way as a complex one
-    return complex(np.sum(f(zz).astype(complex) * ww))
+    return complex(np.sum(f(zz) * ww))
 
 
 def plane_l2_norm_sq(f: PlaneFunction) -> float:
@@ -345,7 +344,7 @@ def sv_abs_value(f: PlaneFunction, pt: JacobiPoint) -> complex:
     """Absolute transform: sum of ``f`` over primitive lattice vectors."""
     t = MarkedTorus.from_point(pt)
     w = config_abs(t, f.support_radius)
-    return complex(np.sum(f(w).astype(complex)))
+    return complex(np.sum(f(w)))
 
 
 def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
@@ -378,16 +377,6 @@ def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
 # ---------------------------------------------------------------------------
 # Monte-Carlo moments
 # ---------------------------------------------------------------------------
-
-
-def _batch_mean_stderr(vals: np.ndarray, n_batches: int):
-    """Batch-means estimate and standard error over the leading (sample)
-    axis of ``vals`` (a remainder past ``n_batches`` equal batches is
-    dropped), as two arrays of shape ``vals.shape[1:]``."""
-    usable = (vals.shape[0] // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1, *vals.shape[1:]).mean(axis=1)
-    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
-    return batches.mean(axis=0), np.sqrt(var / n_batches)
 
 
 def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
@@ -441,16 +430,7 @@ def radial_fourier(f0: RadialProfile, rho_max: float = 4.0,
         np.asarray(hankel_transform(0, f0, 2.0 * math.pi * rho)))
     spline = CubicSpline(rho, vals)
     table = _uniform_spline(spline.x, spline.c)
-
-    def fn(r):
-        r = np.asarray(r, float)
-        return np.where(r <= rho_max, table(np.minimum(r, rho_max)), 0.0)
-
-    return RadialProfile(fn, rho_max)
-
-
-def _real_profile_values(h: RadialProfile, r: np.ndarray) -> np.ndarray:
-    return np.real(np.asarray(h(r)))
+    return RadialProfile(lambda r: table(np.minimum(r, rho_max)), rho_max)
 
 
 def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
@@ -485,7 +465,7 @@ def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
         ax, ay2 = a * xs[row_sample], (a * ys[row_sample]) ** 2
         sq_row = np.sqrt(ys[row_sample])
         norm = np.sqrt((ax[point_row] + b) ** 2 + ay2[point_row])
-        vals = _real_profile_values(h, M * norm / sq_row[point_row])
+        vals = h(M * norm / sq_row[point_row]).real
         vals[(a[point_row] == 0) & (b == 0)] = 0.0
         out[lo:hi] = np.bincount(row_sample[point_row], weights=vals,
                                  minlength=hi - lo)
@@ -509,11 +489,11 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     """
     _check_M(M)
     fhat = radial_fourier(f0, rho_max, n_grid)
-    h = RadialProfile(lambda r: _real_profile_values(fhat, r) ** 2, rho_max)
+    h = RadialProfile(lambda r: fhat.fn(r) ** 2, rho_max)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
-    zero_mode = float(_real_profile_values(fhat, np.array([0.0]))[0]) ** 2
+    zero_mode = float(fhat(0.0)) ** 2
     vals = M ** 4 * (dual_norm_sum_values(h, s.x, s.y, M) + zero_mode)
-    est, err = _batch_mean_stderr(vals.astype(complex), n_batches)
+    est, err = _batch_mean_stderr(vals, n_batches)
     return complex(est), float(err)
 
 

@@ -1,8 +1,9 @@
 """Every name a ``strata`` module exports in ``__all__`` resolves, so a
 deleted function cannot leave a stale export behind; every module-level
 import is used or exported, so a deleted caller cannot leave a stale import;
-and every method and private function is referenced somewhere, so a deleted
-caller cannot leave a dead definition."""
+every method and private function is referenced somewhere, so a deleted
+caller cannot leave a dead definition; and Gauss-Legendre nodes come from
+one place, so a second copy of the interval map cannot creep back."""
 
 import ast
 import importlib
@@ -72,3 +73,14 @@ def test_no_dead_definitions():
             for name in _definitions(ast.parse(path.read_text()))
             if name not in referenced]
     assert dead == []
+
+
+def test_gauss_legendre_nodes_come_from_special():
+    """``leggauss`` is called in ``special.py`` only: every other module
+    takes its nodes from ``special._gl_nodes``."""
+    callers = [path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None))
+               == "leggauss"]
+    assert set(callers) <= {"special.py"}

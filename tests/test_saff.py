@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strata.saff import (
     _RENORM_EVERY,
@@ -258,6 +260,43 @@ def test_reduction_lands_in_fundamental_domain():
         img = act_on_jacobi(gamma, pt)
         assert np.allclose([img.x, img.y, img.u, img.v],
                            [red.x, red.y, red.u, red.v], atol=1e-9)
+
+
+@settings(max_examples=300)
+@given(x=st.floats(-50.0, 50.0), log_y=st.floats(-3.0, 6.0),
+       u=st.floats(-5.0, 5.0), v=st.floats(-5.0, 5.0))
+def test_reduction_on_generated_points(x, log_y, u, v):
+    """Generated points reach the domain with an integral ``gamma`` of
+    determinant one, a reduced point reduces to itself with the identity,
+    and ``gamma`` maps the point onto the reduced one.  The last match is
+    relative: ``gamma`` grows like ``1/y`` (entries near 2e5 at
+    ``y = 1e-3``), and uniform draws showed an absolute error of 2e-9 and
+    a relative one of 4.3e-10."""
+    pt = JacobiPoint(x, 10.0 ** log_y, u, v)
+    red, gamma = reduce_to_fundamental(pt)
+    assert -0.5 <= red.x <= 0.5
+    assert red.x * red.x + red.y * red.y >= 1.0 - 1e-12
+    assert 0.0 <= red.p < 1.0 and 0.0 <= red.q < 1.0
+    m, g = gamma.matrix3(), gamma.g
+    assert np.array_equal(m, np.round(m))
+    assert g.a * g.d - g.b * g.c == 1.0
+    again, gamma2 = reduce_to_fundamental(red)
+    assert again == red
+    assert np.array_equal(gamma2.matrix3(), np.eye(3))
+    img = act_on_jacobi(gamma, pt)
+    got = np.array([img.x, img.y, img.u, img.v])
+    want = np.array([red.x, red.y, red.u, red.v])
+    assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
+def test_reduction_settles_torus_ties():
+    # v a hair above 0: q reads -5e-74, and shifted up it reads 1.0
+    red, _ = reduce_to_fundamental(JacobiPoint(1.5, 1.0, 0.0, 2e-73))
+    assert (red.p, red.q) == (2e-73, 0.0)
+    assert reduce_to_fundamental(red)[0] == red
+    # x a hair above 0 on the arc: the flip leaves v = 1.0, so p reads 1.0
+    red, _ = reduce_to_fundamental(JacobiPoint(1e-19, 1.0, 1e-19, 1e-19))
+    assert 0.0 <= red.p < 1.0 and 0.0 <= red.q < 1.0
 
 
 def test_reduction_fixes_interior_points():

@@ -14,6 +14,7 @@ from scipy import special as sp
 from scipy.interpolate import CubicSpline
 
 from strata.special import (
+    _BESSEL_BUDGET,
     _W_BUDGET,
     _W_NODES,
     RadialProfile,
@@ -310,15 +311,30 @@ def _bump(r):
     (0, RadialProfile(lambda r: np.ones_like(np.asarray(r, float)), 2.0)),
     (1, RadialProfile(lambda r: np.asarray(r, float), 2.0)),
     (2, RadialProfile(lambda r: np.asarray(r, float) ** 2, 2.0)),
+    (1, RadialProfile(lambda r: _windowed_gaussian(r) * np.exp(1j * r), 2.4)),
 ], ids=["windowed_gaussian", "mean_zero", "ring_k2", "ring_k1", "bump",
-        "edge_k0", "edge_k1", "edge_k2"])
+        "edge_k0", "edge_k1", "edge_k2", "complex_k1"])
 def test_hankel_matches_adaptive_oracle(k, prof):
-    """Smooth profiles of the acceptance tests, and ``r^k`` with a jump at
-    its support edge, at 101 frequencies up to ``s R = 150``."""
+    """Smooth profiles of the acceptance tests, ``r^k`` with a jump at its
+    support edge, and a complex profile (a nonzero imaginary column), at
+    101 frequencies up to ``s R = 150``."""
     ss = np.linspace(0.0, 150.0 / prof.support_radius, 101)
     got = hankel_transform(k, prof, ss)
     want = adaptive_hankel(k, prof, ss)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_hankel_rule_never_copies_its_bessel_block():
+    # the np.outer argument plus the float64 Bessel block is two blocks of
+    # the budget; a complex copy of the block would add two more
+    prof = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 6.5)
+    tracemalloc.start()
+    try:
+        hankel_transform(0, prof, np.linspace(0.0, 400.0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * _BESSEL_BUDGET * 8
 
 
 def test_hankel_interior_jump_raises():

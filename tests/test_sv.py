@@ -636,6 +636,18 @@ def test_radial_fourier_gaussian():
     assert np.max(np.abs(got - want)) < 1e-6
 
 
+def test_radial_fourier_scalar_matches_array_bitwise():
+    f0 = RadialProfile(lambda r: np.exp(-np.asarray(r, float) ** 2), 6.0)
+    fhat = radial_fourier(f0, rho_max=2.0, n_grid=201)
+    # inside the grid, at rho_max = 2 and beyond it
+    for r in (0.0, 0.5, 1.234, 2.0, 2.5):
+        want = fhat(np.array([r]))
+        for arg in (r, np.float64(r), np.array(r)):
+            got = fhat(arg)
+            assert got.shape == () and got.dtype == want.dtype
+            assert got.reshape(1).view(np.uint64) == want.view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # adjoint
 # ---------------------------------------------------------------------------
