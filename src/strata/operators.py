@@ -32,10 +32,13 @@ Operators
   which acts on the character ``e(n x + m v / y)`` by ``-4 pi^3 n m^2``;
 * ``compound`` -- ``foliated + eps * vertical``.
 
-All appliers differentiate numerically (tensor products of fourth-order
-central stencils, steps scaled by ``y`` in the ``y`` and ``v`` directions)
-and return lazy ``ModularFunction`` wrappers carrying the shifted weight, so
-operators compose.
+Each operator is a table of groups (a coefficient in ``(x, y, u, v, k)``
+times a weighted sum of mixed partials) in the order of its formula above.
+One applier, ``_apply_groups``, evaluates every table and ``sv``'s plane
+images on the stencil engine: fourth-order central stencils, steps scaled by
+``y`` in ``y`` and ``v``.  ``quadratic_form_residual`` and the ``pq`` route
+of ``vertical`` keep their own chart derivatives.  Appliers return lazy
+``ModularFunction`` wrappers with the shifted weight, so operators compose.
 
 Group side: ``right_regular_word`` realizes elements of the enveloping
 algebra as right-invariant derivatives of functions on the group, and the
@@ -56,8 +59,9 @@ weight zero.  ``fit_lambda`` and ``eigen_residual`` work with ``A``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,6 +96,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _DEFAULT_H = {0: 0.0, 1: 1e-3, 2: 2e-3, 3: 7e-4}
+_MODE_H = 1e-3     # log-y step of the mode-level operators
+_RIGHT_H = 1e-2    # group step of the right-regular derivatives
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +116,11 @@ def _stencil(order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(offs), tuple(w)
 
 
+def _grid(x, y, u, v):
+    """The four coordinates as broadcast float arrays."""
+    return np.broadcast_arrays(*(np.asarray(a, float) for a in (x, y, u, v)))
+
+
 def partial_derivative(fn, orders: tuple[int, int, int, int],
                        x, y, u, v, h: float | None = None) -> np.ndarray:
     """Mixed partial of ``fn(x, y, u, v)`` by tensor-product central stencils.
@@ -120,9 +131,7 @@ def partial_derivative(fn, orders: tuple[int, int, int, int],
     order-dependent default tuned for fourth-order accuracy in double
     precision.
     """
-    x, y, u, v = np.broadcast_arrays(
-        np.asarray(x, float), np.asarray(y, float),
-        np.asarray(u, float), np.asarray(v, float))
+    x, y, u, v = _grid(x, y, u, v)
     steps = []
     axes = []
     for axis, d in enumerate(orders):
@@ -166,161 +175,125 @@ def _chart(fn, x, y):
     return chart
 
 
+def _apply_groups(fn, groups, k, x, y, u, v) -> np.ndarray:
+    """Evaluate an operator given as a nonempty sequence of groups
+    ``(c, terms)``: the coefficient ``c(x, y, u, v, k)`` times the sum of
+    ``w`` times the mixed partial of ``fn`` along ``axes`` over the pairs
+    ``(w, axes)`` in ``terms`` (``"xuu"`` is ``d_x d_u^2``, and ``""`` is
+    ``fn`` itself).  Groups and terms are added left to right."""
+    x, y, u, v = _grid(x, y, u, v)
+
+    def term(w, axes):
+        orders = tuple(axes.count(a) for a in "xyuv")
+        d = (partial_derivative(fn, orders, x, y, u, v) if axes
+             else np.asarray(fn(x, y, u, v), dtype=complex))
+        return d if w == 1 else w * d
+
+    return reduce(add, (coeff(x, y, u, v, k)
+                        * reduce(add, (term(*t) for t in terms))
+                        for coeff, terms in groups))
+
+
 # ---------------------------------------------------------------------------
-# weight-shifting pair and fibre pair
+# the half-space operators as data
 # ---------------------------------------------------------------------------
+
+
+# Each table follows its applier's formula; a subtracted group negates c.
+_LOWERING = (
+    (lambda x, y, u, v, k: -1j * y ** 2, ((1, "x"), (1j, "y"))),
+    (lambda x, y, u, v, k: -1j * y * v, ((1, "u"), (1j, "v"))),
+)
+_RAISING = (
+    (lambda x, y, u, v, k: 1j, ((1, "x"), (-1j, "y"))),
+    (lambda x, y, u, v, k: 1j * (v / y), ((1, "u"), (-1j, "v"))),
+    (lambda x, y, u, v, k: k / y, ((1, ""),)),
+)
+_H_LOWERING = ((lambda x, y, u, v, k: -0.5j * y, ((1, "u"), (1j, "v"))),)
+_H_RAISING = ((lambda x, y, u, v, k: 0.5j, ((1, "u"), (-1j, "v"))),)
+_FOLIATED = (
+    (lambda x, y, u, v, k: y ** 2, ((1, "xx"), (1, "yy"))),
+    (lambda x, y, u, v, k: 2.0 * y * v, ((1, "xu"), (1, "yv"))),
+    (lambda x, y, u, v, k: v ** 2, ((1, "uu"), (1, "vv"))),
+    (lambda x, y, u, v, k: -1j * k * y, ((1, "x"), (1j, "y"))),
+    (lambda x, y, u, v, k: -1j * k * v, ((1, "u"), (1j, "v"))),
+)
+_VERTICAL = ((lambda x, y, u, v, k: 0.25 * y, ((1, "uu"), (1, "vv"))),)
+_TOTAL = (
+    (lambda x, y, u, v, k: (k / 2.0) * y, ((1, "uu"), (1j, "uv"))),
+    (lambda x, y, u, v, k: 0.5j * y ** 2, ((1, "xuu"), (-1, "xvv"))),
+    (lambda x, y, u, v, k: 1j * y ** 2, ((1, "yuv"),)),
+    (lambda x, y, u, v, k: 0.5j * y * v, ((1, "uuu"), (1, "uvv"))),
+)
+
+
+def _operator(phi: ModularFunction, groups, shift: int = 0) -> ModularFunction:
+    """``phi`` under the operator ``groups``, with its weight shifted."""
+    k = phi.weight
+    return ModularFunction(
+        lambda x, y, u, v: _apply_groups(phi.fn, groups, k, x, y, u, v),
+        k + shift)
 
 
 def lowering(phi: ModularFunction) -> ModularFunction:
     """``L_k phi = -i y^2 (d_x + i d_y) phi - i y v (d_u + i d_v) phi`` (weight k-2)."""
-
-    def fn(x, y, u, v):
-        dx = partial_derivative(phi.fn, (1, 0, 0, 0), x, y, u, v)
-        dy = partial_derivative(phi.fn, (0, 1, 0, 0), x, y, u, v)
-        du = partial_derivative(phi.fn, (0, 0, 1, 0), x, y, u, v)
-        dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        return (-1j * y ** 2 * (dx + 1j * dy)
-                - 1j * y * v * (du + 1j * dv))
-
-    return ModularFunction(fn, phi.weight - 2)
+    return _operator(phi, _LOWERING, -2)
 
 
 def raising(phi: ModularFunction) -> ModularFunction:
     """``R_k phi = i (d_x - i d_y) phi + i (v/y)(d_u - i d_v) phi + (k/y) phi`` (weight k+2)."""
-    k = phi.weight
-
-    def fn(x, y, u, v):
-        dx = partial_derivative(phi.fn, (1, 0, 0, 0), x, y, u, v)
-        dy = partial_derivative(phi.fn, (0, 1, 0, 0), x, y, u, v)
-        du = partial_derivative(phi.fn, (0, 0, 1, 0), x, y, u, v)
-        dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        base = np.asarray(phi.fn(x, y, u, v), dtype=complex)
-        return (1j * (dx - 1j * dy)
-                + 1j * (v / y) * (du - 1j * dv)
-                + (k / y) * base)
-
-    return ModularFunction(fn, k + 2)
+    return _operator(phi, _RAISING, 2)
 
 
 def h_lowering(phi: ModularFunction) -> ModularFunction:
     """Fibre lowering ``-i y d_zbar = -(i/2) y (d_u + i d_v)`` (weight k-1)."""
-
-    def fn(x, y, u, v):
-        du = partial_derivative(phi.fn, (0, 0, 1, 0), x, y, u, v)
-        dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
-        return -0.5j * np.asarray(y, float) * (du + 1j * dv)
-
-    return ModularFunction(fn, phi.weight - 1)
+    return _operator(phi, _H_LOWERING, -1)
 
 
 def h_raising(phi: ModularFunction) -> ModularFunction:
     """Fibre raising ``i d_z = (i/2)(d_u - i d_v)`` (weight k+1)."""
-
-    def fn(x, y, u, v):
-        du = partial_derivative(phi.fn, (0, 0, 1, 0), x, y, u, v)
-        dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
-        return 0.5j * (du - 1j * dv)
-
-    return ModularFunction(fn, phi.weight + 1)
-
-
-# ---------------------------------------------------------------------------
-# Laplacians
-# ---------------------------------------------------------------------------
+    return _operator(phi, _H_RAISING, 1)
 
 
 def foliated(phi: ModularFunction, route: str = "uv") -> ModularFunction:
     """Foliated Laplacian; ``route`` picks the chart ("uv" or "pq")."""
-    k = phi.weight
     if route not in ("uv", "pq"):
         raise ValueError("route must be 'uv' or 'pq'")
-
     if route == "uv":
-        def fn(x, y, u, v):
-            dxx = partial_derivative(phi.fn, (2, 0, 0, 0), x, y, u, v)
-            dyy = partial_derivative(phi.fn, (0, 2, 0, 0), x, y, u, v)
-            dxu = partial_derivative(phi.fn, (1, 0, 1, 0), x, y, u, v)
-            dyv = partial_derivative(phi.fn, (0, 1, 0, 1), x, y, u, v)
-            duu = partial_derivative(phi.fn, (0, 0, 2, 0), x, y, u, v)
-            dvv = partial_derivative(phi.fn, (0, 0, 0, 2), x, y, u, v)
-            dx = partial_derivative(phi.fn, (1, 0, 0, 0), x, y, u, v)
-            dy = partial_derivative(phi.fn, (0, 1, 0, 0), x, y, u, v)
-            du = partial_derivative(phi.fn, (0, 0, 1, 0), x, y, u, v)
-            dv = partial_derivative(phi.fn, (0, 0, 0, 1), x, y, u, v)
-            y = np.asarray(y, float)
-            v = np.asarray(v, float)
-            return (y ** 2 * (dxx + dyy)
-                    + 2.0 * y * v * (dxu + dyv)
-                    + v ** 2 * (duu + dvv)
-                    - 1j * k * y * (dx + 1j * dy)
-                    - 1j * k * v * (du + 1j * dv))
-    else:
-        def fn(x, y, u, v):
-            x, y, u, v = np.broadcast_arrays(
-                np.asarray(x, float), np.asarray(y, float),
-                np.asarray(u, float), np.asarray(v, float))
-            frozen = _frozen(phi.fn, v / y, u - v * x / y)
-            dxx = partial_derivative(frozen, (2, 0, 0, 0), x, y, u, v)
-            dyy = partial_derivative(frozen, (0, 2, 0, 0), x, y, u, v)
-            dx = partial_derivative(frozen, (1, 0, 0, 0), x, y, u, v)
-            dy = partial_derivative(frozen, (0, 1, 0, 0), x, y, u, v)
-            return (y ** 2 * (dxx + dyy)
-                    - 1j * k * y * (dx + 1j * dy))
+        return _operator(phi, _FOLIATED)
 
-    return ModularFunction(fn, k)
+    def fn(x, y, u, v):  # the table's (x, y) groups at frozen (p, q)
+        x, y, u, v = _grid(x, y, u, v)
+        frozen = _frozen(phi.fn, v / y, u - v * x / y)
+        return _apply_groups(frozen, (_FOLIATED[0], _FOLIATED[3]),
+                             phi.weight, x, y, u, v)
+
+    return ModularFunction(fn, phi.weight)
 
 
 def vertical(phi: ModularFunction, route: str = "uv") -> ModularFunction:
     """Vertical (fibre) Laplacian ``(y/4)(d_u^2 + d_v^2)``."""
     if route not in ("uv", "pq"):
         raise ValueError("route must be 'uv' or 'pq'")
-
     if route == "uv":
-        def fn(x, y, u, v):
-            duu = partial_derivative(phi.fn, (0, 0, 2, 0), x, y, u, v)
-            dvv = partial_derivative(phi.fn, (0, 0, 0, 2), x, y, u, v)
-            return 0.25 * np.asarray(y, float) * (duu + dvv)
-    else:
-        def fn(x, y, u, v):
-            x, y, u, v = np.broadcast_arrays(
-                np.asarray(x, float), np.asarray(y, float),
-                np.asarray(u, float), np.asarray(v, float))
-            p = v / y
-            q = u - v * x / y
-            chart = _chart(phi.fn, x, y)
-            dpp = partial_derivative(chart, (2, 0, 0, 0), p, y, q, v)
-            dqq = partial_derivative(chart, (0, 0, 2, 0), p, y, q, v)
-            dpq = partial_derivative(chart, (1, 0, 1, 0), p, y, q, v)
-            return 0.25 * y * (dqq
-                               + (dpp - 2.0 * x * dpq + x ** 2 * dqq) / y ** 2)
+        return _operator(phi, _VERTICAL)
+
+    def fn(x, y, u, v):
+        x, y, u, v = _grid(x, y, u, v)
+        p = v / y
+        q = u - v * x / y
+        chart = _chart(phi.fn, x, y)
+        dpp = partial_derivative(chart, (2, 0, 0, 0), p, y, q, v)
+        dqq = partial_derivative(chart, (0, 0, 2, 0), p, y, q, v)
+        dpq = partial_derivative(chart, (1, 0, 1, 0), p, y, q, v)
+        return 0.25 * y * (dqq + (dpp - 2.0 * x * dpq + x ** 2 * dqq) / y ** 2)
 
     return ModularFunction(fn, phi.weight)
 
 
 def total(phi: ModularFunction) -> ModularFunction:
     """Cubic invariant operator (third-order in the fibre directions)."""
-    k = phi.weight
-
-    def fn(x, y, u, v):
-        duu = partial_derivative(phi.fn, (0, 0, 2, 0), x, y, u, v)
-        duv = partial_derivative(phi.fn, (0, 0, 1, 1), x, y, u, v)
-        dxuu = partial_derivative(phi.fn, (1, 0, 2, 0), x, y, u, v)
-        dxvv = partial_derivative(phi.fn, (1, 0, 0, 2), x, y, u, v)
-        dyuv = partial_derivative(phi.fn, (0, 1, 1, 1), x, y, u, v)
-        duuu = partial_derivative(phi.fn, (0, 0, 3, 0), x, y, u, v)
-        duvv = partial_derivative(phi.fn, (0, 0, 1, 2), x, y, u, v)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        return ((k / 2.0) * y * (duu + 1j * duv)
-                + 0.5j * y ** 2 * (dxuu - dxvv)
-                + 1j * y ** 2 * dyuv
-                + 0.5j * y * v * (duuu + duvv))
-
-    return ModularFunction(fn, k)
+    return _operator(phi, _TOTAL)
 
 
 def compound(phi: ModularFunction, eps: float) -> ModularFunction:
@@ -339,15 +312,15 @@ def compound(phi: ModularFunction, eps: float) -> ModularFunction:
 # ---------------------------------------------------------------------------
 
 
-def _log_derivs(beta, y: np.ndarray, h: float):
+def _log_derivs(beta, y: np.ndarray):
     """First and second derivatives of ``s -> beta(exp(s))`` at ``s = log y``."""
     y = np.asarray(y, dtype=float)
     offs1, w1 = _stencil(1)
     offs2, w2 = _stencil(2)
-    vals = {o: np.asarray(beta(y * math.exp(o * h)), dtype=complex)
+    vals = {o: np.asarray(beta(y * math.exp(o * _MODE_H)), dtype=complex)
             for o in sorted(set(offs1) | set(offs2))}
-    d1 = sum(w * vals[o] for o, w in zip(offs1, w1) if w) / h
-    d2 = sum(w * vals[o] for o, w in zip(offs2, w2) if w) / h ** 2
+    d1 = sum(w * vals[o] for o, w in zip(offs1, w1) if w) / _MODE_H
+    d2 = sum(w * vals[o] for o, w in zip(offs2, w2) if w) / _MODE_H ** 2
     return vals[0], d1, d2
 
 
@@ -356,7 +329,7 @@ def _potential(k: int, n: int, y: np.ndarray) -> np.ndarray:
             - 2.0 * math.pi * k * n * y)
 
 
-def mode_apply(beta, k: int, n: int, y, h: float = 1e-3) -> np.ndarray:
+def mode_apply(beta, k: int, n: int, y) -> np.ndarray:
     """Radial operator ``A beta = -y^2 beta'' - k y beta' + V beta``.
 
     ``A`` is the exact action of the negated foliated Laplacian on the seed
@@ -364,14 +337,14 @@ def mode_apply(beta, k: int, n: int, y, h: float = 1e-3) -> np.ndarray:
     ``-beta_ss + (1 - k) beta_s + V beta``.
     """
     y = np.asarray(y, dtype=float)
-    b0, d1, d2 = _log_derivs(beta, y, h)
+    b0, d1, d2 = _log_derivs(beta, y)
     return -d2 + (1.0 - k) * d1 + _potential(k, n, y) * b0
 
 
-def mode_reduce_fol(beta, k: int, n: int, y, h: float = 1e-3) -> np.ndarray:
+def mode_reduce_fol(beta, k: int, n: int, y) -> np.ndarray:
     """Drift-free radial operator ``-y^2 beta'' + V beta`` (``A + k y d_y``)."""
     y = np.asarray(y, dtype=float)
-    b0, d1, d2 = _log_derivs(beta, y, h)
+    b0, d1, d2 = _log_derivs(beta, y)
     return -(d2 - d1) + _potential(k, n, y) * b0
 
 
@@ -418,19 +391,19 @@ def _exp_real(name: str, t: float) -> SAffElement:
 
 
 def right_derivative(fun: Callable[[SAffElement], complex], e: SAffElement,
-                     name: str, h: float = 1e-2) -> complex:
+                     name: str) -> complex:
     """``d/dt fun(e exp(t A))`` at ``t = 0`` for a real generator ``A``."""
     offs, ws = _stencil(1)
     total_val = 0.0 + 0.0j
     for o, w in zip(offs, ws):
         if w == 0.0:
             continue
-        total_val += w * fun(e.compose(_exp_real(name, o * h)))
-    return total_val / h
+        total_val += w * fun(e.compose(_exp_real(name, o * _RIGHT_H)))
+    return total_val / _RIGHT_H
 
 
 def right_regular_word(fun: Callable[[SAffElement], complex],
-                       word: Sequence[str], h: float = 1e-2
+                       word: Sequence[str]
                        ) -> Callable[[SAffElement], complex]:
     """Composite right derivative along a word of real generators.
 
@@ -439,14 +412,13 @@ def right_regular_word(fun: Callable[[SAffElement], complex],
     """
     if not word:
         return fun
-    inner = right_regular_word(fun, word[1:], h)
+    inner = right_regular_word(fun, word[1:])
     head = word[0]
-    return lambda e: right_derivative(inner, e, head, h)
+    return lambda e: right_derivative(inner, e, head)
 
 
 def right_regular_element(fun: Callable[[SAffElement], complex],
-                          elem: Element, e: SAffElement,
-                          h: float = 1e-2) -> complex:
+                          elem: Element, e: SAffElement) -> complex:
     """Apply an enveloping-algebra element through the right-regular action.
 
     ``elem`` holds monomials in the complex basis; ``enveloping._real_words``
@@ -457,7 +429,7 @@ def right_regular_element(fun: Callable[[SAffElement], complex],
     """
     acc = 0.0 + 0.0j
     for word, coeff in _real_words(elem).items():
-        acc += complex(coeff) * right_regular_word(fun, word, h)(e)
+        acc += complex(coeff) * right_regular_word(fun, word)(e)
     return acc
 
 

@@ -49,6 +49,7 @@ from .saff import (
     ModularFunction,
     SAffElement,
     SL2Element,
+    _act_arrays,
     _batch_mean_stderr,
     _check_points,
     _disc_points,
@@ -60,7 +61,7 @@ from .saff import (
 )
 from .special import (RadialProfile, _as_values, _gl_nodes, _uniform_spline,
                       hankel_transform)
-from .operators import partial_derivative
+from .operators import _apply_groups, foliated, total
 
 __all__ = [
     "PlaneFunction",
@@ -627,18 +628,14 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
         # point of (g, w): base tau from g alone; fibre coordinates in
         # closed form, u = y (w1 c + w2 d), v = y (w1 d - w2 c)
         base_pt, _theta = element_to_point(SAffElement(g, (0.0, 0.0)))
-        y_base = base_pt.y
-        z = (y_base * (w1 * c[i] + w2 * d[i])
-             + 1j * y_base * (w1 * d[i] - w2 * c[i]))
-        red_base, gamma = reduce_to_fundamental(
-            JacobiPoint(base_pt.x, base_pt.y))
-        gg = gamma.g
-        tau = complex(base_pt.x, base_pt.y)
-        jc = gg.c * tau + gg.d
-        z_red = (z + gamma.w[0] * tau + gamma.w[1]) / jc
+        x_base, y_base = float(base_pt.x), float(base_pt.y)
+        red_base, gamma = reduce_to_fundamental(JacobiPoint(x_base, y_base))
+        _, _, u_r, v_r, _ = _act_arrays(
+            gamma, x_base, y_base, y_base * (w1 * c[i] + w2 * d[i]),
+            y_base * (w1 * d[i] - w2 * c[i]))
         y_r = red_base.y
-        p = z_red.imag / y_r
-        q = z_red.real - z_red.imag * red_base.x / y_r
+        p = v_r / y_r
+        q = u_r - v_r * red_base.x / y_r
         p -= np.floor(p)
         q -= np.floor(q)
         vals[i] = hb.formula(red_base.x, y_r, p, q)
@@ -660,26 +657,22 @@ def apply_euclidean(op: DiffOp, f: PlaneFunction) -> PlaneFunction:
     windowed profile).
     """
 
+    # slots follow the (x, y, u, v) convention of the operator tables:
+    # w1 rides in the x slot, w2 in the u slot, at unit y and v
+    groups = tuple(
+        (lambda w1, _y, w2, _v, _k, c=complex(coeff), e=e:
+         c * w1 ** e[0] * w2 ** e[1], ((1, "x" * dd[0] + "u" * dd[1]),))
+        for (e, dd), coeff in op.terms.items())
+
+    def plane(w1s, _ys, w2s, _vs):
+        return f(w2s + 1j * w1s)
+
     def fn(zeta):
         zeta = np.asarray(zeta, dtype=complex)
-
-        # slots follow the (x, y, u, v) calling convention of
-        # partial_derivative: w1 rides in the x slot, w2 in the u slot
-        def plane(w1s, _ys, w2s, _vs):
-            return f(np.asarray(w2s) + 1j * np.asarray(w1s))
-
-        out = np.zeros(zeta.shape, dtype=complex)
-        w1 = zeta.imag
-        w2 = zeta.real
-        for (e, dd), coeff in op.terms.items():
-            dd_orders = (dd[0], 0, dd[1], 0)
-            if dd == (0, 0):
-                der = f(zeta)
-            else:
-                der = partial_derivative(plane, dd_orders, w1,
-                                         np.ones_like(w1), w2,
-                                         np.ones_like(w2))
-            out = out + complex(coeff) * w1 ** e[0] * w2 ** e[1] * der
+        out = np.zeros(zeta.shape, dtype=complex)  # the zero operator's image
+        if groups:
+            out = out + _apply_groups(plane, groups, 0, zeta.imag, 1.0,
+                                      zeta.real, 1.0)
         return out
 
     return PlaneFunction(fn, f.support_radius, k_type=f.k_type)
@@ -695,8 +688,6 @@ def sv_commutation_residuals(f: PlaneFunction, M: int,
     must commute with it through the plane operator ``quadratic``; both
     residuals are relative to the scale of the quadratic image.
     """
-    from .operators import foliated, total
-
     phi = sv_rel_modular(f, M)
     df = apply_euclidean(quadratic, f)
     phi_df = sv_rel_modular(df, M)

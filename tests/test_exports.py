@@ -2,8 +2,9 @@
 deleted function cannot leave a stale export behind; every module-level
 import is used or exported, so a deleted caller cannot leave a stale import;
 every method and private function is referenced somewhere, so a deleted
-caller cannot leave a dead definition; and Gauss-Legendre nodes come from
-one place, so a second copy of the interval map cannot creep back."""
+caller cannot leave a dead definition; and Gauss-Legendre nodes and
+stencil derivatives each come from one place, so a second copy of the
+interval map or of the operator loop cannot creep back."""
 
 import ast
 import importlib
@@ -75,12 +76,23 @@ def test_no_dead_definitions():
     assert dead == []
 
 
+def _callers(name):
+    """Names of the source files that call a function or method ``name``."""
+    return {path.name for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == name}
+
+
 def test_gauss_legendre_nodes_come_from_special():
     """``leggauss`` is called in ``special.py`` only: every other module
     takes its nodes from ``special._gl_nodes``."""
-    callers = [path.name for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "attr", getattr(node.func, "id", None))
-               == "leggauss"]
-    assert set(callers) <= {"special.py"}
+    assert _callers("leggauss") <= {"special.py"}
+
+
+def test_stencils_are_called_in_operators_only():
+    """``partial_derivative`` is called in ``operators.py`` only: every
+    other module applies its differential operators through
+    ``operators._apply_groups``."""
+    assert _callers("partial_derivative") <= {"operators.py"}

@@ -190,10 +190,37 @@ def test_fibre_factorization_both_orders():
 def test_slash_covariance():
     phi = _generic_phi()
     s_elt = SAffElement.from_sl2(SL2Element(0.0, -1.0, 1.0, 0.0))
-    for op, tol in ((foliated, 1e-7), (lowering, 1e-8), (total, 1e-4)):
-        lhs = op(slash(phi, s_elt)).fn(*_PTS)
-        rhs = slash(op(phi), s_elt).fn(*_PTS)
-        assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < tol
+    shift = SAffElement.translation(1.0, -1.0)
+    for op, tol in ((foliated, 1e-7), (vertical, 1e-9), (lowering, 1e-8),
+                    (raising, 1e-8), (h_lowering, 1e-10), (h_raising, 1e-10),
+                    (total, 1e-4)):
+        for elt in (s_elt, shift):
+            lhs = op(slash(phi, elt)).fn(*_PTS)
+            rhs = slash(op(phi), elt).fn(*_PTS)
+            assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < tol
+
+
+@pytest.mark.parametrize("op, calls", [
+    (lowering, 16), (raising, 17), (h_lowering, 8), (h_raising, 8),
+    (lambda phi: foliated(phi, "uv"), 68),
+    (lambda phi: foliated(phi, "pq"), 18),
+    (lambda phi: vertical(phi, "uv"), 10),
+    (lambda phi: vertical(phi, "pq"), 26),
+    (total, 151),
+], ids=["lowering", "raising", "h_lowering", "h_raising", "foliated_uv",
+        "foliated_pq", "vertical_uv", "vertical_pq", "total"])
+def test_operator_function_calls_per_evaluation(op, calls):
+    # one call per nonzero stencil node of each derivative term, plus one
+    # for each undifferentiated term
+    phi = _generic_phi()
+    count = []
+
+    def counted(*args):
+        count.append(1)
+        return phi.fn(*args)
+
+    op(ModularFunction(counted, phi.weight)).fn(*_PTS)
+    assert len(count) == calls
 
 
 def test_compound_wiring():

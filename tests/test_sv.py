@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from strata.enveloping import casimir_sl2, euclidean_rep
+from strata.enveloping import casimir_saff, casimir_sl2, euclidean_rep
 from strata.fourier import QuadratureSpec, coeff_H0, coeff_H0_table
 from strata.saff import (
     VOLUME_SL2,
@@ -731,6 +731,17 @@ def test_apply_euclidean_euler_closed_form():
     r2 = np.abs(z) ** 2
     want = (r2 ** 2 - 2.0 * r2) * np.exp(-r2)
     assert np.max(np.abs(df(z) - want)) < 1e-8
+
+
+def test_apply_euclidean_zero_operator_returns_zeros():
+    # the cubic Casimir's plane image is the zero operator
+    op = euclidean_rep(casimir_saff().scale(2))
+    assert not op.terms
+    z = np.array([[0.3 + 0.4j, 0.9 - 0.2j, 3.0j], [-0.7 + 0.8j, 1.2, 0.0]])
+    got = apply_euclidean(op, _gauss_plane(2.5))(z)
+    assert got.shape == z.shape
+    assert got.dtype == complex
+    assert not np.any(got)
 
 
 # ---------------------------------------------------------------------------
