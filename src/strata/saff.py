@@ -52,6 +52,7 @@ __all__ = [
     "point_to_element",
     "element_to_point",
     "reduce_to_fundamental",
+    "reduce_arrays",
     "coprime_pairs",
     "MasurVeechSample",
     "sample_masur_veech",
@@ -66,7 +67,7 @@ VOLUME_SL2 = math.pi / 3.0
 _RENORM_EVERY = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SL2Element:
     """Real 2x2 matrix of determinant one, ``[[a, b], [c, d]]``.
 
@@ -112,7 +113,7 @@ class SL2Element:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SAffElement:
     """Group element ``(g, w)`` with ``w`` a row vector."""
 
@@ -159,7 +160,7 @@ class SAffElement:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IwasawaCoords:
     """NAK coordinates: horocycle ``x``, height ``y``, translation ``(w1, w2)``,
     rotation angle ``theta``.
@@ -177,7 +178,7 @@ class IwasawaCoords:
     theta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JacobiPoint:
     """Point ``(tau, z) = (x + i y, u + i v)`` of the Jacobi half-space."""
 
@@ -232,14 +233,21 @@ class ModularFunction:
             np.asarray(pt.u), np.asarray(pt.v))))
 
 
-def _act_arrays(e: SAffElement, x, y, u, v):
-    """Image of points under the left action, plus the cocycle ``c tau + d``."""
+def _act_entries(a, b, c, d, w1, w2, x, y, u, v):
+    """Image of points under the left action of ``([[a, b], [c, d]],
+    (w1, w2))``, plus the cocycle ``c tau + d``; the entries may be arrays
+    broadcasting against the points."""
     tau = x + 1j * y
     z = u + 1j * v
-    jac = e.g.c * tau + e.g.d
-    tau2 = (e.g.a * tau + e.g.b) / jac
-    z2 = (z + e.w[0] * tau + e.w[1]) / jac
+    jac = c * tau + d
+    tau2 = (a * tau + b) / jac
+    z2 = (z + w1 * tau + w2) / jac
     return tau2.real, tau2.imag, z2.real, z2.imag, jac
+
+
+def _act_arrays(e: SAffElement, x, y, u, v):
+    """Image of points under the left action, plus the cocycle ``c tau + d``."""
+    return _act_entries(e.g.a, e.g.b, e.g.c, e.g.d, e.w[0], e.w[1], x, y, u, v)
 
 
 def act_on_jacobi(e: SAffElement, pt: JacobiPoint) -> JacobiPoint:
@@ -424,6 +432,97 @@ def reduce_to_fundamental(pt: JacobiPoint) -> tuple[JacobiPoint, SAffElement]:
     return cur, gamma
 
 
+def reduce_arrays(x, y, u, v):
+    """:func:`reduce_to_fundamental` for arrays of points.
+
+    The arguments broadcast to one shape.  Each point takes the steps the
+    scalar path takes, under the same rules and with the same arithmetic
+    (:func:`_act_entries`, and the composition of :meth:`SAffElement.compose`
+    on the entries of ``gamma``), so it comes out bitwise as
+    :func:`reduce_to_fundamental` leaves it.  The points still moving are
+    gathered at every step.  The entries of ``gamma`` are integers, so the
+    scalar path's determinant rescale leaves them as they are.
+
+    Returns ``((x, y, u, v), (a, b, c, d, w1, w2))``: the reduced
+    coordinates and the entries of each point's ``gamma``, as float
+    arrays of the broadcast shape.
+
+    Raises
+    ------
+    ValueError
+        If a coordinate is not finite or ``y <= 0`` at some point, with the
+        message of :func:`reduce_to_fundamental`.
+    RuntimeError
+        If a point fails to settle within ``_REDUCE_MAX_ITER`` steps.
+    """
+    pts = [np.array(t, dtype=float) for t in np.broadcast_arrays(x, y, u, v)]
+    shape = pts[0].shape
+    x, y, u, v = (t.reshape(-1) for t in pts)   # views of fresh copies
+    for name, arr in zip("xyuv", (x, y, u, v)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"point coordinate {name} must be finite")
+    if not (y > 0.0).all():
+        raise ValueError("point must have y > 0")
+    ga, gb, gc, gd, g1, g2 = (np.full(x.size, e) for e in
+                              (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+
+    def step(idx, a, b, c, d, w1=0.0, w2=0.0):
+        """Move the points ``idx`` by ``([[a, b], [c, d]], (w1, w2))`` and
+        compose it into their ``gamma`` on the left."""
+        if idx.size == 0:
+            return
+        x[idx], y[idx], u[idx], v[idx], _ = _act_entries(
+            a, b, c, d, w1, w2, x[idx], y[idx], u[idx], v[idx])
+        oa, ob, oc, od = ga[idx], gb[idx], gc[idx], gd[idx]
+        ga[idx], gb[idx] = a * oa + b * oc, a * ob + b * od
+        gc[idx], gd[idx] = c * oa + d * oc, c * ob + d * od
+        g1[idx] = w1 * oa + w2 * oc + g1[idx]
+        g2[idx] = w1 * ob + w2 * od + g2[idx]
+
+    s_entries, t_entries = ((m.a, m.b, m.c, m.d) for m in (_S, _T))
+    todo = np.arange(x.size)
+    for _ in range(_REDUCE_MAX_ITER):
+        if todo.size == 0:
+            break
+        shift = -np.floor(x[todo] + 0.5)
+        moves = shift != 0
+        step(todo[moves], 1.0, shift[moves], 0.0, 1.0)
+        xt = x[todo]
+        norm = xt * xt + y[todo] * y[todo]
+        inside = norm < 1.0 - 1e-15
+        step(todo[inside], *s_entries)
+        done, norm = todo[~inside], norm[~inside]
+        step(done[x[done] <= -0.5], *t_entries)
+        # Arc rule applies on the open half-arc only; the corner stays at +1/2.
+        xd = x[done]
+        step(done[(np.abs(norm - 1.0) < 1e-15) & (0.0 < xd)
+                  & (xd < 0.5 - 1e-12)], *s_entries)
+        todo = todo[inside]
+    if todo.size:
+        raise RuntimeError("fundamental-domain reduction did not settle")
+    # 0.0 - floor keeps the zero shifts +0.0, as float(-math.floor(.)) does
+    m1 = 0.0 - np.floor(v / y)
+    m2 = 0.0 - np.floor(u - v * x / y)
+    torus = np.flatnonzero((m1 != 0.0) | (m2 != 0.0))
+    step(torus, 1.0, 0.0, 0.0, 1.0, m1[torus], m2[torus])
+    for name, (w1, w2) in (("p", (1.0, 0.0)), ("q", (0.0, 1.0))):
+        xt, yt, ut, vt = x[torus], y[torus], u[torus], v[torus]
+        value = vt / yt if name == "p" else ut - vt * xt / yt
+        off = ~((0.0 <= value) & (value < 1.0))   # within rounding of an integer
+        idx = torus[off]
+        # + 0.0 turns a rounded -0.0 into the 0 that Python's round gives
+        n = -(np.round(value[off]) + 0.0)
+        step(idx, 1.0, 0.0, 0.0, 1.0, n * w1, n * w2)
+        # exactly 0: p = v / y, q = u - v x / y
+        if name == "p":
+            v[idx] = 0.0
+        else:
+            u[idx] = v[idx] * x[idx] / y[idx]
+    return ((x.reshape(shape), y.reshape(shape), u.reshape(shape),
+             v.reshape(shape)),
+            tuple(g.reshape(shape) for g in (ga, gb, gc, gd, g1, g2)))
+
+
 def coprime_pairs(cmax: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Coprime integer pairs ``(c, d)`` with ``|c| <= cmax``, ``|d| <= dmax``
     (the bottom rows of ``SL2(Z)``), as two arrays in lexicographic order."""
@@ -551,14 +650,39 @@ def sample_masur_veech(n: int, seed: int, y_max: float = 1e3) -> MasurVeechSampl
     return MasurVeechSample(x=x, y=y, p=p, q=q, seed=seed, y_max=y_max)
 
 
+def _batch_size(n_samples: int, n_batches: int) -> int:
+    """Samples per batch of a batch-means estimate; a remainder past
+    ``n_batches`` equal batches is dropped.
+
+    Raises
+    ------
+    ValueError
+        If ``n_batches < 2`` (one batch has no spread) or there are fewer
+        samples than batches.
+    """
+    if n_batches < 2:
+        raise ValueError(f"batch means need n_batches >= 2, got {n_batches}")
+    if n_samples < n_batches:
+        raise ValueError(
+            f"{n_samples} samples cannot fill {n_batches} batches")
+    return n_samples // n_batches
+
+
+def _batch_stats(batches: np.ndarray):
+    """Estimate and standard error from a table of batch means (batches
+    along the leading axis), as two arrays of shape ``batches.shape[1:]``."""
+    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
+    return batches.mean(axis=0), np.sqrt(var / batches.shape[0])
+
+
 def _batch_mean_stderr(vals: np.ndarray, n_batches: int):
     """Batch-means estimate and standard error over the leading (sample)
-    axis of ``vals`` (a remainder past ``n_batches`` equal batches is
-    dropped), as two arrays of shape ``vals.shape[1:]``."""
-    usable = (vals.shape[0] // n_batches) * n_batches
-    batches = vals[:usable].reshape(n_batches, -1, *vals.shape[1:]).mean(axis=1)
-    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
-    return batches.mean(axis=0), np.sqrt(var / n_batches)
+    axis of ``vals``, as two arrays of shape ``vals.shape[1:]``; raises
+    ``ValueError`` as :func:`_batch_size`."""
+    size = _batch_size(vals.shape[0], n_batches)
+    batches = vals[:size * n_batches].reshape(
+        n_batches, size, *vals.shape[1:]).mean(axis=1)
+    return _batch_stats(batches)
 
 
 def inner_product(phi1: ModularFunction, phi2: ModularFunction,

@@ -49,13 +49,16 @@ from .saff import (
     ModularFunction,
     SAffElement,
     SL2Element,
-    _act_arrays,
+    _act_entries,
     _batch_mean_stderr,
+    _batch_size,
+    _batch_stats,
     _check_points,
     _disc_points,
     _runs,
     coprime_pairs,
     element_to_point,
+    reduce_arrays,
     reduce_to_fundamental,
     sample_masur_veech,
 )
@@ -549,12 +552,15 @@ class FundamentalBump:
         yc = 0.5 * (self.y_band[0] + self.y_band[1])
         yh = 0.5 * (self.y_band[1] - self.y_band[0])
         sy = (y - yc) / yh
-        out = np.zeros(np.broadcast(sx, sy, np.asarray(p)).shape)
         m = (np.abs(sx) < 1.0) & (np.abs(sy) < 1.0)
-        bump = np.where(m,
-                        np.exp(-1.0 / np.maximum(1.0 - sx ** 2, 1e-300))
-                        * np.exp(-1.0 / np.maximum(1.0 - sy ** 2, 1e-300)),
-                        0.0)
+        # float_power squares with libm's pow at every shape, as ``**``
+        # does on a scalar; ``**`` on an array multiplies instead, which can
+        # differ by an ulp, so a point's value would depend on the call shape
+        bump = np.where(
+            m,
+            np.exp(-1.0 / np.maximum(1.0 - np.float_power(sx, 2), 1e-300))
+            * np.exp(-1.0 / np.maximum(1.0 - np.float_power(sy, 2), 1e-300)),
+            0.0)
         trig = (1.0 + np.cos(2.0 * math.pi * np.asarray(p))) \
             * (1.0 + 0.5 * np.cos(2.0 * math.pi * np.asarray(q)))
         return bump * trig
@@ -614,32 +620,43 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
     """Fast adjoint of a :class:`FundamentalBump`.
 
     Exploits that the base part of the coset element does not depend on
-    the plane row: the base is reduced once per sample and the fibre
-    coordinates are then reduced in closed form for all rows at once.
-    Returns ``(values, stderrs)`` as in :func:`sv_adjoint`.
+    the plane row: the base points are reduced together by
+    :func:`~strata.saff.reduce_arrays`, and the fibre coordinates then
+    follow in closed form for all rows at once.  The work runs one
+    batch-means block at a time (``n_samples // n_batches`` samples by
+    all rows), so at most one block of fibre values is held.  Returns
+    ``(values, stderrs)`` as in :func:`sv_adjoint`.
     """
     p_rows = np.atleast_2d(np.asarray(p_rows, float))
-    a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
-    vals = np.empty((n_samples, p_rows.shape[0]))
-    for i in range(n_samples):
-        g = SL2Element(a[i], b[i], c[i], d[i])
-        w1 = p_rows[:, 0] - a[i]
-        w2 = p_rows[:, 1] - b[i]
-        # point of (g, w): base tau from g alone; fibre coordinates in
-        # closed form, u = y (w1 c + w2 d), v = y (w1 d - w2 c)
-        base_pt, _theta = element_to_point(SAffElement(g, (0.0, 0.0)))
-        x_base, y_base = float(base_pt.x), float(base_pt.y)
-        red_base, gamma = reduce_to_fundamental(JacobiPoint(x_base, y_base))
-        _, _, u_r, v_r, _ = _act_arrays(
-            gamma, x_base, y_base, y_base * (w1 * c[i] + w2 * d[i]),
-            y_base * (w1 * d[i] - w2 * c[i]))
-        y_r = red_base.y
-        p = v_r / y_r
-        q = u_r - v_r * red_base.x / y_r
+    size = _batch_size(n_samples, n_batches)
+    # one sample per row, against the plane rows along the columns
+    a, b, c, d = (t[:size * n_batches, None]
+                  for t in _stabilizer_cosets(n_samples, seed, y_max))
+    # base point of (g, w), as iwasawa_from_element takes it from g alone
+    den = c * c + d * d
+    y_base = 1.0 / den
+    x_base = (a * c + b * d) / den
+    (x_r, y_r, _, _), gamma = reduce_arrays(x_base, y_base, 0.0, 0.0)
+    batches = np.empty((n_batches, p_rows.shape[0]))
+    for k in range(n_batches):
+        blk = slice(k * size, (k + 1) * size)
+        w1 = p_rows[:, 0] - a[blk]
+        w2 = p_rows[:, 1] - b[blk]
+        # fibre coordinates in closed form, u = y (w1 c + w2 d),
+        # v = y (w1 d - w2 c), then moved by gamma
+        yb = y_base[blk]
+        u = yb * (w1 * c[blk] + w2 * d[blk])
+        v = yb * (w1 * d[blk] - w2 * c[blk])
+        del w1, w2   # block-sized temporaries go as soon as they are used
+        _, _, u, v, _ = _act_entries(*(g[blk] for g in gamma), x_base[blk],
+                                     yb, u, v)
+        p = v / y_r[blk]
+        q = u - v * x_r[blk] / y_r[blk]
+        del u, v
         p -= np.floor(p)
         q -= np.floor(q)
-        vals[i] = hb.formula(red_base.x, y_r, p, q)
-    est, err = _batch_mean_stderr(vals, n_batches)
+        batches[k] = hb.formula(x_r[blk], y_r[blk], p, q).mean(axis=0)
+    est, err = _batch_stats(batches)
     return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
 
 

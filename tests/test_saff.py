@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from strata.saff import (
     _RENORM_EVERY,
+    _batch_mean_stderr,
     IwasawaCoords,
     JacobiPoint,
     MasurVeechSample,
@@ -30,6 +31,7 @@ from strata.saff import (
     lift,
     lift_eval_arrays,
     point_to_element,
+    reduce_arrays,
     reduce_to_fundamental,
     sample_masur_veech,
     slash,
@@ -314,6 +316,91 @@ def test_reduction_rejects_bad_input():
         reduce_to_fundamental(JacobiPoint(math.nan, 1.0))
     with pytest.raises(ValueError, match="coordinate v"):
         reduce_to_fundamental(JacobiPoint(0.1, 1.0, 0.0, math.inf))
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _hard_points(draw):
+    """A point ``(x, y, u, v)`` where the reduction rules bite: generic,
+    on a tie ``x = n +- 1/2``, on a translate of the arc ``|tau| = 1``, or
+    with torus coordinates within rounding of an integer."""
+    kind = draw(st.sampled_from(["generic", "tie", "arc", "torus"]))
+    x = draw(st.floats(-1e3, 1e3))
+    y = 10.0 ** draw(st.floats(-3.0, 6.0))
+    p, q = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    if kind == "tie":
+        x = draw(st.integers(-5, 5)) + draw(st.sampled_from([-0.5, 0.5]))
+    elif kind == "arc":
+        theta = draw(st.floats(0.01, math.pi - 0.01))
+        x = draw(st.integers(-3, 3)) + math.cos(theta)
+        y = math.sin(theta)
+    elif kind == "torus":
+        tiny = st.sampled_from([0.0, 5e-324, -5e-324, 1e-17, -1e-17, 2e-73])
+        p = draw(st.integers(-4, 4)) + draw(tiny)
+        q = draw(st.integers(-4, 4)) + draw(tiny)
+    return x, y, q + p * x, p * y
+
+
+@settings(max_examples=150)
+@given(pts=st.lists(_hard_points(), min_size=1, max_size=20))
+def test_reduce_arrays_matches_scalar_bitwise(pts):
+    """``reduce_arrays`` reduces every point of an array bitwise as
+    ``reduce_to_fundamental`` reduces it alone, ``gamma`` included."""
+    pts += [(1.5, 1.0, 0.0, 2e-73), (1e-19, 1.0, 1e-19, 1e-19)]
+    red, gamma = reduce_arrays(*np.array(pts).T)
+    for i, pt in enumerate(pts):
+        want, g = reduce_to_fundamental(JacobiPoint(*pt))
+        assert np.array_equal(_bits(*(r[i] for r in red)),
+                              _bits(want.x, want.y, want.u, want.v))
+        assert np.array_equal(
+            _bits(*(e[i] for e in gamma)),
+            _bits(g.g.a, g.g.b, g.g.c, g.g.d, g.w[0], g.w[1]))
+
+
+def test_reduce_arrays_broadcasts():
+    (x, y, u, v), gamma = reduce_arrays([[0.3], [2.7]], [1.5, 0.2, 3.0],
+                                        0.25, 1.25)
+    assert x.shape == y.shape == u.shape == v.shape == (2, 3)
+    assert all(e.shape == (2, 3) for e in gamma)
+    red, _ = reduce_to_fundamental(JacobiPoint(2.7, 0.2, 0.25, 1.25))
+    assert (x[1, 1], y[1, 1], u[1, 1], v[1, 1]) == (red.x, red.y, red.u, red.v)
+
+
+@pytest.mark.parametrize("bad", [(0.0, -1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+                                 (math.nan, 1.0, 0.0, 0.0),
+                                 (0.0, math.nan, 0.0, 0.0),
+                                 (0.3, 1.0, -math.inf, 0.0),
+                                 (0.1, 1.0, 0.0, math.inf)])
+def test_reduce_arrays_rejects_bad_input_as_scalar(bad):
+    """An invalid point, alone or among valid ones, raises the
+    ``ValueError`` that ``reduce_to_fundamental`` raises for it."""
+    with pytest.raises(ValueError) as want:
+        reduce_to_fundamental(JacobiPoint(*bad))
+    good = (0.2, 1.3, 0.4, 0.6)
+    for batch in ([bad], [good, bad, good]):
+        with pytest.raises(ValueError) as got:
+            reduce_arrays(*np.array(batch).T)
+        assert str(got.value) == str(want.value)
+
+
+def test_batch_means_reject_unformable_batches():
+    """Batch means raise on one batch (no spread) and on fewer samples
+    than batches, instead of returning NaN."""
+    vals = np.arange(12.0)
+    with pytest.raises(ValueError, match="n_batches >= 2"):
+        _batch_mean_stderr(vals, 1)
+    with pytest.raises(ValueError, match="n_batches >= 2"):
+        _batch_mean_stderr(vals, 0)
+    with pytest.raises(ValueError, match="12 samples cannot fill 13"):
+        _batch_mean_stderr(vals, 13)
+    est, err = _batch_mean_stderr(vals, 12)   # one sample per batch
+    assert est == np.mean(vals) and np.isfinite(err)
+    one = ModularFunction(lambda x, y, u, v: x + 0j, weight=0)
+    with pytest.raises(ValueError, match="n_batches >= 2"):
+        inner_product(one, one, n_samples=100, n_batches=1)
 
 
 def test_coprime_pairs_lexicographic():

@@ -15,6 +15,10 @@ from strata.fourier import QuadratureSpec, coeff_H0, coeff_H0_table
 from strata.saff import (
     VOLUME_SL2,
     JacobiPoint,
+    _act_arrays,
+    _batch_mean_stderr,
+    element_to_point,
+    reduce_to_fundamental,
     ModularFunction,
     SAffElement,
     SL2Element,
@@ -27,6 +31,7 @@ from strata.series import beta_bump, eisenstein, poincare
 from strata.special import RadialProfile
 from strata.sv import (
     FundamentalBump,
+    _stabilizer_cosets,
     MarkedTorus,
     PlaneFunction,
     apply_euclidean,
@@ -670,6 +675,100 @@ def test_sv_adjoint_fast_path_matches_generic():
     slow, _ = sv_adjoint(hb.on_element, rows, n_samples=500, seed=12)
     fast, _ = sv_adjoint_of_bump(hb, rows, n_samples=500, seed=12)
     assert np.max(np.abs(slow - fast)) < 1e-10
+
+
+def _adjoint_of_bump_loop(hb, p_rows, n_samples, seed, n_batches=20,
+                          y_max=1e3):
+    """Per-sample reference for ``sv_adjoint_of_bump``: each base point is
+    reduced alone by ``reduce_to_fundamental`` and the bump is evaluated
+    for all rows of one sample at a time, into the full sample table."""
+    p_rows = np.atleast_2d(np.asarray(p_rows, float))
+    a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
+    vals = np.empty((n_samples, p_rows.shape[0]))
+    for i in range(n_samples):
+        g = SL2Element(a[i], b[i], c[i], d[i])
+        w1 = p_rows[:, 0] - a[i]
+        w2 = p_rows[:, 1] - b[i]
+        base_pt, _theta = element_to_point(SAffElement(g, (0.0, 0.0)))
+        x_base, y_base = float(base_pt.x), float(base_pt.y)
+        red_base, gamma = reduce_to_fundamental(JacobiPoint(x_base, y_base))
+        _, _, u_r, v_r, _ = _act_arrays(
+            gamma, x_base, y_base, y_base * (w1 * c[i] + w2 * d[i]),
+            y_base * (w1 * d[i] - w2 * c[i]))
+        y_r = red_base.y
+        p = v_r / y_r
+        q = u_r - v_r * red_base.x / y_r
+        p -= np.floor(p)
+        q -= np.floor(q)
+        vals[i] = hb.formula(red_base.x, y_r, p, q)
+    est, err = _batch_mean_stderr(vals, n_batches)
+    return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
+
+
+def _a11_rows(R=2.5, n_r=24, nth=8):
+    nodes, _weights = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * R * (nodes + 1.0)
+    theta = 2.0 * math.pi * np.arange(nth) / nth
+    return np.stack([np.repeat(r, nth) * np.cos(np.tile(theta, r.size)),
+                     np.repeat(r, nth) * np.sin(np.tile(theta, r.size))],
+                    axis=1)
+
+
+@pytest.mark.parametrize("n_samples, seed, n_batches, n_rows", [
+    (40_000, 17, 20, 192),   # the acceptance check's call
+    (1_234, 3, 7, 10),       # 7 does not divide 1234
+    (777, 4, 10, 1),
+])
+def test_sv_adjoint_of_bump_matches_scalar_loop_bitwise(n_samples, seed,
+                                                        n_batches, n_rows):
+    hb = FundamentalBump()
+    rows = _a11_rows()[:n_rows]
+    got = sv_adjoint_of_bump(hb, rows, n_samples=n_samples, seed=seed,
+                             n_batches=n_batches)
+    want = _adjoint_of_bump_loop(hb, rows, n_samples, seed, n_batches)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_fundamental_bump_value_does_not_depend_on_call_shape():
+    """A point's bump value is the same bits alone and inside an array."""
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-0.45, 0.45, 20_000), rng.uniform(1.1, 1.9, 20_000)
+    p, q = rng.random(20_000), rng.random(20_000)
+    hb = FundamentalBump()
+    together = hb.formula(x, y, p, q)
+    alone = np.array([hb.formula(*pt) for pt in zip(x, y, p, q)])
+    assert np.array_equal(together.view(np.uint64), alone.view(np.uint64))
+
+
+def test_sv_adjoint_of_bump_holds_one_block():
+    """The adjoint works one batch block at a time: at a fixed block of
+    2000 samples by 192 rows, ten times the samples (and batches) leave
+    its peak memory nearly where it was; a full sample-by-row table would
+    multiply it by ten."""
+    rows = _a11_rows()
+    peaks = []
+    for n_samples, n_batches in ((4_000, 2), (40_000, 20)):
+        tracemalloc.start()
+        try:
+            sv_adjoint_of_bump(FundamentalBump(), rows, n_samples=n_samples,
+                               seed=17, n_batches=n_batches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_sv_adjoint_rejects_unformable_batches():
+    hb = FundamentalBump()
+    rows = np.array([[0.6, 0.3]])
+    with pytest.raises(ValueError, match="10 samples cannot fill 20"):
+        sv_adjoint_of_bump(hb, rows, n_samples=10)
+    with pytest.raises(ValueError, match="n_batches >= 2"):
+        sv_adjoint_of_bump(hb, rows, n_samples=200, n_batches=1)
+    with pytest.raises(ValueError, match="10 samples cannot fill 20"):
+        sv_adjoint(hb.on_element, rows, n_samples=10)
 
 
 def test_sv_adjoint_duality():
