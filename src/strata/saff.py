@@ -700,11 +700,13 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     Raises
     ------
     ValueError
-        If the two functions carry different weights.
+        If the two functions carry different weights, ``n_batches < 2`` or
+        there are fewer samples than batches.
     """
     if phi1.weight != phi2.weight:
         raise ValueError("weights must match for the pairing")
     k = phi1.weight
+    _batch_size(n_samples, n_batches)   # fail before sampling
     s = sample_masur_veech(n_samples, seed, y_max)
     vals1 = phi1.fn(s.x, s.y, s.u, s.v)
     vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)

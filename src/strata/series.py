@@ -40,9 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .saff import (
@@ -180,7 +178,10 @@ def beta_ypower(k: int, psi: Callable[[np.ndarray], np.ndarray],
 
 
 def beta_norm_sq(beta: BetaProfile, k: int, y_min: float, y_max: float) -> float:
-    """Squared seed norm ``int_{y_min}^{y_max} |beta(y)|^2 y^(k-2) dy``."""
+    """Squared seed norm ``int_{y_min}^{y_max} |beta(y)|^2 y^(k-2) dy``
+    by ``scipy.integrate.quad``, which is imported here, on first use."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda y: float(np.abs(beta(y)) ** 2) * y ** (k - 2),
         y_min, y_max, limit=200)
@@ -352,16 +353,17 @@ def classical_eisenstein(tau: complex, s: complex, radius: int = 120) -> complex
 
 
 def _lambda_completed(w: complex) -> complex:
-    """Completed zeta ``pi^(-w/2) Gamma(w/2) zeta(w)`` (meromorphically)."""
+    """Completed zeta ``pi^(-w/2) Gamma(w/2) zeta(w)`` (meromorphically),
+    through mpmath at 25 digits; mpmath is imported here, on first use."""
+    import mpmath as mp
+
     with mp.workdps(25):
         return complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
 
 
 def completed_eisenstein(tau: complex, s: complex, radius: int = 120) -> complex:
     """``pi^(-s) Gamma(s) zeta(2s) E(tau, s)`` by direct summation."""
-    with mp.workdps(25):
-        pref = complex(mp.pi ** (-s) * mp.gamma(s) * mp.zeta(2 * s))
-    return pref * classical_eisenstein(tau, s, radius)
+    return _lambda_completed(2 * s) * classical_eisenstein(tau, s, radius)
 
 
 def completed_eisenstein_expansion(tau: complex, s: complex,

@@ -13,9 +13,11 @@ contiguous relation in ``kappa`` (DLMF 13.15.11) up to ``kappa``.  Its
 error stays below 1e-12 of the largest ``|W|`` on a grid, checked against
 mpmath.  Every other Whittaker case (real ``mu``, ``|t| > 4``, tiny ``x``),
 ``whittaker_m`` and the ODE residual oracle stay on mpmath (``whitw`` /
-``whitm`` at 30 digits).  Radial profiles keep the kind of their values
-(float64 or complex128), and a uniform-grid table evaluates cubic splines
-bitwise like scipy's ``PPoly``.
+``whitm`` at 30 digits), which is imported on the first such call.  Radial
+profiles keep the kind of their values (float64 or complex128), and
+``_uniform_spline`` builds scipy's not-a-knot cubic spline on a uniform
+grid through ``scipy.linalg`` and evaluates it bitwise like scipy's
+``CubicSpline``, without loading ``scipy.interpolate``.
 
 The Hankel transform of a compactly supported radial profile uses a
 fixed-node rule: 24-point Gauss-Legendre panels of equal width on the
@@ -36,9 +38,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 from scipy import special as sp
+from scipy.linalg import solve, solve_banded
 
 __all__ = [
     "log_gamma",
@@ -103,7 +105,12 @@ def bessel_j(k: int, x):
 _MP_DPS = 30
 
 
-def _whit(fun, kappa, mu, x) -> complex:
+def _whit(which: str, kappa, mu, x) -> complex:
+    """``mpmath.whitw`` (``which="w"``) or ``whitm`` (``"m"``) at
+    ``_MP_DPS`` digits; mpmath is imported here, on first use."""
+    import mpmath as mp
+
+    fun = {"w": mp.whitw, "m": mp.whitm}[which]
     with mp.workdps(_MP_DPS):
         val = fun(mp.mpmathify(kappa), mp.mpmathify(mu), mp.mpmathify(x))
         return complex(val)
@@ -212,7 +219,7 @@ def whittaker_w(kappa, mu, x):
         out.real[by_rule] = _whittaker_w_imag(ka.real, abs(m.imag),
                                               flat[by_rule])
     for i in np.flatnonzero(~by_rule):
-        out[i] = _whit(mp.whitw, kappa, mu, flat[i])
+        out[i] = _whit("w", kappa, mu, flat[i])
     if xs.ndim == 0:
         return complex(out[0])
     return out.reshape(xs.shape)
@@ -223,7 +230,7 @@ def whittaker_m(kappa, mu, x):
     xs = np.asarray(x, dtype=float)
     out = np.empty(xs.shape, dtype=complex)
     for idx in np.ndindex(xs.shape):
-        out[idx] = _whit(mp.whitm, kappa, mu, xs[idx])
+        out[idx] = _whit("m", kappa, mu, xs[idx])
     if out.shape == ():
         return complex(out)
     return out
@@ -236,6 +243,8 @@ def whittaker_ode_residual(kappa, mu, x: float, which: str = "w") -> float:
     precision for ``f = W`` or ``M`` and returns its magnitude, normalized
     by ``max(1, |f(x)|)``.
     """
+    import mpmath as mp
+
     fun = {"w": mp.whitw, "m": mp.whitm}[which]
     with mp.workdps(_MP_DPS + 10):
         ka, m2, xx = mp.mpmathify(kappa), mp.mpmathify(mu), mp.mpf(x)
@@ -302,31 +311,82 @@ class RadialProfile:
         return np.where(r <= self.support_radius, _as_values(self.fn(r)), 0.0)
 
 
-def _uniform_spline(breaks: np.ndarray, coeffs: np.ndarray
+def _uniform_spline(breaks: np.ndarray, values: np.ndarray
                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluate the cubic spline with uniform breakpoints ``breaks`` and
-    coefficients ``coeffs`` (``CubicSpline.x`` and ``.c``) bitwise like
-    scipy's ``PPoly``, extrapolation included, without its interval search.
+    """The not-a-knot cubic spline through ``values`` at the uniform
+    ``breaks``, bitwise like scipy's ``CubicSpline(breaks, values)``,
+    extrapolation included, without ``scipy.interpolate``.
 
-    The interval ``floor(r / h)`` is clipped and corrected by one step
-    against the breakpoints, and the sum runs in scipy's order,
-    ``c3 + c2 s + c1 s^2 + c0 s^3`` with ``s^3 = (s s) s``.
+    The slopes at the breaks come from scipy's own arithmetic: for four or
+    more points its tridiagonal system through ``solve_banded``, for three
+    its parabola through ``solve``, and for two the line (the banded system
+    with both end slopes fixed to the chord).  The evaluation clips
+    ``floor(r / h)`` and corrects it by one step against the breakpoints,
+    then sums in scipy's order, ``c3 + c2 s + c1 s^2 + c0 s^3`` with
+    ``s^3 = (s s) s``.
+
+    Raises
+    ------
+    ValueError
+        As ``CubicSpline`` does: for fewer than two breaks, breaks that are
+        not finite and strictly increasing, or values that are not finite.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    last = breaks.size - 2
-    step = (breaks[-1] - breaks[0]) / (last + 1)
-    c0, c1, c2, c3 = np.asarray(coeffs, dtype=float)
-    c3 = 0.0 + c3   # scipy's sum starts at 0.0, which turns -0.0 into +0.0
+    x = np.asarray(breaks, dtype=float)
+    y = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 2 or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("a spline needs at least 2 finite breaks and values")
+    dx = np.diff(x)
+    if not (dx > 0.0).all():
+        raise ValueError("spline breaks must be strictly increasing")
+    slope = np.diff(y) / dx
+    # the first derivatives at the breaks, as scipy solves for them
+    if n == 3:
+        # both not-a-knot conditions coincide: the parabola through the points
+        A = np.zeros((3, 3))
+        A[0, :2] = 1.0
+        A[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
+        A[2, 1:] = 1.0
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]),
+                      2 * slope[1]])
+        deriv = solve(A, b[:, None], overwrite_a=True, overwrite_b=True,
+                      check_finite=False)[:, 0]
+    else:
+        A = np.zeros((3, n))   # the banded rows: upper, diagonal, lower
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if n == 2:
+            A[1] = 1.0
+            b[:] = slope[0]
+        else:
+            d = x[2] - x[0]
+            A[1, 0], A[0, 1] = dx[1], d
+            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
+                    + dx[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            A[1, -1], A[-1, -2] = dx[-2], d
+            b[-1] = (dx[-1] ** 2 * slope[-2]
+                     + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        deriv = solve_banded((1, 1), A, b[:, None], overwrite_ab=True,
+                             overwrite_b=True, check_finite=False)[:, 0]
+    t = (deriv[:-1] + deriv[1:] - 2 * slope) / dx
+    c0, c1, c2 = t / dx, (slope - deriv[:-1]) / dx - t, deriv[:-1]
+    c3 = 0.0 + y[:-1]   # scipy's sum starts at 0.0, which turns -0.0 into +0.0
+    last = n - 2
+    step = (x[-1] - x[0]) / (last + 1)
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
         # fmax/fmin map a NaN to interval 0, where it evaluates to NaN
-        i = np.fmin(np.fmax(np.floor((r - breaks[0]) / step), 0.0),
+        i = np.fmin(np.fmax(np.floor((r - x[0]) / step), 0.0),
                     last).astype(np.intp)
-        i += r >= breaks[i + 1]
-        i -= r < breaks[i]
+        i += r >= x[i + 1]
+        i -= r < x[i]
         i = np.clip(i, 0, last)   # a scalar r makes i a scalar: no out=
-        s = r - breaks[i]
+        s = r - x[i]
         z = s * s
         return c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
 
@@ -352,11 +412,15 @@ def _hankel_rule(k: int, f0: RadialProfile, s: np.ndarray,
     """Composite Gauss-Legendre rule with ``n_panels`` equal panels on
     ``[0, R]`` at the frequencies ``s``: one profile call on all nodes, then
     the real product ``J_k(s r) @ [Re g, Im g]``, ``g = w r f0(r)``, in
-    blocks of at most ``_BESSEL_BUDGET`` entries."""
+    blocks of at most ``_BESSEL_BUDGET`` entries.  A profile value that is
+    not finite raises ``ValueError``: no number of panels would settle it."""
     h = f0.support_radius / n_panels
     r = (h * np.arange(n_panels)[:, None]
          + 0.5 * h * (_GL_NODES + 1.0)).ravel()
-    g = np.tile(0.5 * h * _GL_WEIGHTS, n_panels) * r * f0(r)
+    vals = f0(r)
+    if not np.isfinite(vals).all():
+        raise ValueError("profile values must be finite on the support")
+    g = np.tile(0.5 * h * _GL_WEIGHTS, n_panels) * r * vals
     cols = np.stack([g.real, g.imag], axis=1)
     rows = max(1, _BESSEL_BUDGET // r.size)
     out = np.empty((s.size, 2))
@@ -409,7 +473,8 @@ def hankel_transform(k: int, f0: RadialProfile, s, tol: float = 1e-11):
     Raises
     ------
     ValueError
-        If a frequency is negative or not finite.
+        If a frequency is negative or not finite, or a profile value on a
+        quadrature node is not finite.
     RuntimeError
         If the rules still disagree by more than ``tol`` at 65536 panels,
         as for a profile that jumps inside its support, or if ``s R``

@@ -391,6 +391,7 @@ def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     ``M^2`` times the plane integral of ``f``.
     """
     _check_M(M)
+    _batch_size(n_samples, n_batches)   # fail before sampling
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
     est, err = _batch_mean_stderr(vals, n_batches)
@@ -409,6 +410,7 @@ def sv_second_moment_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     :func:`sv_second_moment_exact_fibre` for a variance-reduced estimate.
     """
     _check_M(M)
+    _batch_size(n_samples, n_batches)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
     est, err = _batch_mean_stderr(vals * vals, n_batches)
@@ -424,16 +426,20 @@ def radial_fourier(f0: RadialProfile, rho_max: float = 4.0,
     convention; real for real ``f0``.  Values beyond ``rho_max`` are
     treated as zero, so ``rho_max`` must be taken large enough that the
     discarded tail is negligible for the intended use.  The values are
-    float64: a ``CubicSpline`` on ``n_grid`` uniform points, evaluated by a
-    uniform-grid table that gives scipy's bits without its interval search.
-    """
-    from scipy.interpolate import CubicSpline
+    float64: the not-a-knot cubic spline through the transform at ``n_grid``
+    uniform points, built and evaluated by ``special._uniform_spline``
+    bitwise like scipy's ``CubicSpline`` without ``scipy.interpolate``.
 
+    Raises
+    ------
+    ValueError
+        If ``n_grid < 2``, ``rho_max <= 0`` or a transform value is not
+        finite.
+    """
     rho = np.linspace(0.0, rho_max, n_grid)
     vals = 2.0 * math.pi * np.real(
         np.asarray(hankel_transform(0, f0, 2.0 * math.pi * rho)))
-    spline = CubicSpline(rho, vals)
-    table = _uniform_spline(spline.x, spline.c)
+    table = _uniform_spline(rho, vals)
     return RadialProfile(lambda r: table(np.minimum(r, rho_max)), rho_max)
 
 
@@ -492,6 +498,7 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     exactly when ``f`` is rotation-invariant).
     """
     _check_M(M)
+    _batch_size(n_samples, n_batches)
     fhat = radial_fourier(f0, rho_max, n_grid)
     h = RadialProfile(lambda r: fhat.fn(r) ** 2, rho_max)
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
@@ -603,6 +610,7 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
     ``p_rows`` has shape (n, 2).  Returns ``(values, stderrs)``.
     """
     p_rows = np.atleast_2d(np.asarray(p_rows, float))
+    _batch_size(n_samples, n_batches)
     a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
     vals = np.empty((n_samples, p_rows.shape[0]), dtype=complex)
     for i in range(n_samples):

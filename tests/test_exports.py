@@ -2,14 +2,22 @@
 deleted function cannot leave a stale export behind; every module-level
 import is used or exported, so a deleted caller cannot leave a stale import;
 every method and private function is referenced somewhere, so a deleted
-caller cannot leave a dead definition; and Gauss-Legendre nodes and
+caller cannot leave a dead definition; Gauss-Legendre nodes and
 stencil derivatives each come from one place, so a second copy of the
-interval map or of the operator loop cannot creep back."""
+interval map or of the operator loop cannot creep back; and importing the
+CLI, then building a radial Fourier spline and evaluating a lattice sum,
+loads neither ``scipy.interpolate``, ``scipy.integrate``,
+``scipy.optimize``, ``scipy.sparse`` nor ``mpmath``, so a module-level
+import of a module that only one function needs cannot creep back into
+every process's start-up."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +104,36 @@ def test_stencils_are_called_in_operators_only():
     other module applies its differential operators through
     ``operators._apply_groups``."""
     assert _callers("partial_derivative") <= {"operators.py"}
+
+
+_LAZY_IMPORTS = """
+import sys
+
+import numpy as np
+
+import strata.cli
+from strata.series import beta_bump, beta_norm_sq
+from strata.special import RadialProfile
+from strata.sv import PlaneFunction, radial_fourier, sv_rel_values
+
+gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.0)
+radial_fourier(gauss, 1.0, 9)
+plane = PlaneFunction(lambda z: np.exp(-np.abs(z) ** 2), 2.0)
+sv_rel_values(plane, [0.1], [1.1], [0.2], [0.3], 1)
+print(sorted(m for m in ("scipy.interpolate", "scipy.integrate",
+                         "scipy.optimize", "scipy.sparse", "mpmath")
+             if m in sys.modules))
+print(beta_norm_sq(beta_bump(0.7, 1.7), 2, 0.7, 1.7) > 0.0)
+"""
+
+
+def test_start_up_leaves_first_use_modules_unloaded():
+    """In a fresh interpreter, importing the CLI, one ``radial_fourier``
+    and one ``sv_rel_values`` call load none of the modules that only
+    fallbacks or single functions use; ``beta_norm_sq`` then loads
+    ``scipy.integrate`` on its own and still works."""
+    src = pathlib.Path(strata.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

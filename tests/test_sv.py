@@ -641,6 +641,15 @@ def test_radial_fourier_gaussian():
     assert np.max(np.abs(got - want)) < 1e-6
 
 
+def test_radial_fourier_rejects_bad_input():
+    f0 = RadialProfile(lambda r: np.exp(-np.asarray(r, float) ** 2), 6.0)
+    nan = RadialProfile(lambda r: np.full(np.shape(r), math.nan), 1.0)
+    for prof, rho_max, n_grid in ((f0, 2.0, 1), (f0, 2.0, 0), (f0, 0.0, 201),
+                                  (f0, -1.0, 201), (nan, 1.0, 3)):
+        with pytest.raises(ValueError):
+            radial_fourier(prof, rho_max=rho_max, n_grid=n_grid)
+
+
 def test_radial_fourier_scalar_matches_array_bitwise():
     f0 = RadialProfile(lambda r: np.exp(-np.asarray(r, float) ** 2), 6.0)
     fhat = radial_fourier(f0, rho_max=2.0, n_grid=201)
@@ -769,6 +778,35 @@ def test_sv_adjoint_rejects_unformable_batches():
         sv_adjoint_of_bump(hb, rows, n_samples=200, n_batches=1)
     with pytest.raises(ValueError, match="10 samples cannot fill 20"):
         sv_adjoint(hb.on_element, rows, n_samples=10)
+
+
+def test_batch_estimators_fail_before_sampling(monkeypatch):
+    """A batch count that cannot be formed raises before any sampling or
+    Hankel work: the sampler, the coset sampler and the Hankel transform
+    are replaced by spies that record each call."""
+    calls = []
+    for target in ("strata.sv.sample_masur_veech",
+                   "strata.saff.sample_masur_veech",
+                   "strata.sv._stabilizer_cosets",
+                   "strata.sv.hankel_transform"):
+        monkeypatch.setattr(
+            target, lambda *args, target=target, **kw: calls.append(target))
+    f, f0 = _gauss_plane(), _gauss_profile()
+    phi = ModularFunction(lambda x, y, u, v: np.ones_like(x), 0)
+    estimators = [
+        lambda **kw: sv_adjoint(FundamentalBump().on_element, [[0.6, 0.3]],
+                                **kw),
+        lambda **kw: sv_mean_mc(f, 1, **kw),
+        lambda **kw: sv_second_moment_mc(f, 1, **kw),
+        lambda **kw: sv_second_moment_exact_fibre(f0, 1, **kw),
+        lambda **kw: inner_product(phi, phi, **kw),
+    ]
+    for estimate in estimators:
+        with pytest.raises(ValueError, match="n_batches >= 2"):
+            estimate(n_samples=4000, n_batches=1)
+        with pytest.raises(ValueError, match="10 samples cannot fill 20"):
+            estimate(n_samples=10, n_batches=20)
+    assert calls == []
 
 
 def test_sv_adjoint_duality():
