@@ -31,6 +31,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -45,11 +46,10 @@ from .enveloping import (
 from .fourier import QuadratureSpec, coeff_H0, relation_T_H0_residual
 from .operators import fit_lambda, total
 from .saff import (
-    JacobiPoint,
     ModularFunction,
     SAffElement,
     SL2Element,
-    act_on_jacobi,
+    _act_arrays,
     inner_product,
 )
 from .series import beta_bump, beta_norm_sq, eisenstein
@@ -262,17 +262,18 @@ def run_sv(cfg: RunConfig) -> list[dict]:
     vs = rng.uniform(-1.5, 1.5, n_pairs)
     ring = k_type_function(_ring_profile(), 0)
     base = sv_rel_values(ring, xs, ys, us, vs, cfg.M)
-    gens = [SAffElement.from_sl2(SL2Element(0.0, -1.0, 1.0, 0.0)),
-            SAffElement.from_sl2(SL2Element(1.0, 1.0, 0.0, 1.0)),
-            SAffElement.translation(1.0, -1.0)]
-    moved = np.empty_like(base)
-    for i in range(n_pairs):
-        gamma = gens[0] if i % 2 else gens[1]
-        for j in rng.integers(0, 3, 3):
-            gamma = gamma.compose(gens[int(j)])
-        pt = act_on_jacobi(gamma, JacobiPoint(xs[i], ys[i], us[i], vs[i]))
-        moved[i] = complex(sv_rel_values(ring, pt.x, pt.y, pt.u, pt.v,
-                                         cfg.M))
+    # rows (a, b, c, d, w1, w2) of S, T and the translation by (1, -1)
+    gens = np.array([(0.0, -1.0, 1.0, 0.0, 0.0, 0.0),
+                     (1.0, 1.0, 0.0, 1.0, 0.0, 0.0),
+                     (1.0, 0.0, 0.0, 1.0, 1.0, -1.0)])
+    # word i: gens[1 - i % 2], then three letters drawn point by point
+    words = np.array([[1 - i % 2, *rng.integers(0, 3, 3)]
+                      for i in range(n_pairs)])
+    gamma = reduce(SAffElement.compose, (
+        SAffElement(SL2Element(a, b, c, d), (w1, w2))
+        for a, b, c, d, w1, w2 in gens[words.T].transpose(0, 2, 1)))
+    x2, y2, u2, v2, _ = _act_arrays(gamma, xs, ys, us, vs)
+    moved = sv_rel_values(ring, x2, y2, u2, v2, cfg.M)
     resid = float(np.max(np.abs(moved - base)) / np.max(np.abs(base)))
     checks.append(_check(
         "integer-group invariance residual over random pairs", 0.0,

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .saff import ModularFunction, SAffElement, lift_eval_arrays
+from .saff import ModularFunction, SAffElement, SL2Element, lift
 from .special import _gl_nodes
 
 __all__ = [
@@ -252,23 +252,12 @@ def heisenberg_average(phi: ModularFunction, n: int, m: int, e: SAffElement,
     closed form is
     ``exp(i k theta) a^k cH0(phi; n, m; a^2) e(n b_e + m w1_e)``.
     """
-    b = np.arange(n_nodes)[:, None, None] / n_nodes
-    w1 = np.arange(n_nodes)[None, :, None] / n_nodes
-    w2 = np.arange(n_nodes)[None, None, :] / n_nodes
-    shape = (n_nodes, n_nodes, n_nodes)
-    b, w1, w2 = (np.broadcast_to(b, shape), np.broadcast_to(w1, shape),
-                 np.broadcast_to(w2, shape))
-    ge = e.g
-    # h . e = ([[1, b], [0, 1]] g_e, (w1, w2) g_e + w_e)
-    mats = np.empty(shape + (2, 2))
-    mats[..., 0, 0] = ge.a + b * ge.c
-    mats[..., 0, 1] = ge.b + b * ge.d
-    mats[..., 1, 0] = np.full(shape, ge.c)
-    mats[..., 1, 1] = np.full(shape, ge.d)
-    ws = np.empty(shape + (2,))
-    ws[..., 0] = w1 * ge.a + w2 * ge.c + e.w[0]
-    ws[..., 1] = w1 * ge.b + w2 * ge.d + e.w[1]
-    vals = lift_eval_arrays(phi, mats, ws)
+    nodes = np.arange(n_nodes) / n_nodes
+    # full grids, not broadcast views: numpy's complex product takes another
+    # loop on a broadcast operand, whose last bits can differ
+    b, w1, w2 = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    h = SAffElement(SL2Element(1.0, b, 0.0, 1.0), (w1, w2))
+    vals = lift(phi)(h.compose(e))
     chi = np.exp(2j * math.pi * (n * b + m * w1))
     return complex((vals * np.conj(chi)).mean())
 

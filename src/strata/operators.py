@@ -59,6 +59,7 @@ weight zero.  ``fit_lambda`` and ``eigen_residual`` work with ``A``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add
@@ -121,6 +122,40 @@ def _grid(x, y, u, v):
     return np.broadcast_arrays(*(np.asarray(a, float) for a in (x, y, u, v)))
 
 
+@lru_cache(maxsize=256)
+def _nodes(orders: tuple[int, int, int, int], h: float | None = None):
+    """Nonzero nodes of the tensor-product stencil of a mixed partial, as
+    ``(weight, node)`` pairs; ``node`` gives each axis's stencil offset and
+    unscaled step ``(o, h_d)``."""
+    axes = [[(o, w, _DEFAULT_H[d] if h is None else h)
+             for o, w in zip(*_stencil(d)) if w != 0.0] for d in orders]
+    return tuple((math.prod(w for _, w, _ in combo),
+                  tuple((o, hd) for o, _, hd in combo))
+                 for combo in product(*axes))
+
+
+def _at_node(fn, node, x, y, u, v) -> np.ndarray:
+    """``fn`` at the point (``node`` None) or at a stencil node: each
+    coordinate moved by ``o h_d``, times ``y`` in ``y`` and ``v``."""
+    if node is not None:
+        x, y, u, v = (c + (o * (hd * s) if o else 0.0) for c, s, (o, hd)
+                      in zip((x, y, u, v), (1.0, y, 1.0, y), node))
+    return np.asarray(fn(x, y, u, v), dtype=complex)
+
+
+def _stencil_sum(value, orders, y, h=None) -> np.ndarray:
+    """The mixed partial of ``orders`` from ``value(node)``, the function
+    at each node of :func:`_nodes`."""
+    out = np.zeros(y.shape, dtype=complex)
+    for weight, node in _nodes(orders, h):
+        out = out + weight * value(node)
+    for axis, d in enumerate(orders):
+        if d:
+            hd = _DEFAULT_H[d] if h is None else h
+            out = out / (hd * (y if axis in (1, 3) else 1.0)) ** d
+    return out
+
+
 def partial_derivative(fn, orders: tuple[int, int, int, int],
                        x, y, u, v, h: float | None = None) -> np.ndarray:
     """Mixed partial of ``fn(x, y, u, v)`` by tensor-product central stencils.
@@ -132,28 +167,8 @@ def partial_derivative(fn, orders: tuple[int, int, int, int],
     precision.
     """
     x, y, u, v = _grid(x, y, u, v)
-    steps = []
-    axes = []
-    for axis, d in enumerate(orders):
-        hd = _DEFAULT_H[d] if h is None else h
-        scale = y if axis in (1, 3) else 1.0
-        steps.append(hd * scale if d else None)
-        offs, ws = _stencil(d)
-        axes.append([(o, w) for o, w in zip(offs, ws) if w != 0.0])
-    out = np.zeros(x.shape, dtype=complex)
-    for combo in product(*axes):
-        weight = 1.0
-        for (_, w) in combo:
-            weight *= w
-        xx = x + (combo[0][0] * steps[0] if orders[0] else 0.0)
-        yy = y + (combo[1][0] * steps[1] if orders[1] else 0.0)
-        uu = u + (combo[2][0] * steps[2] if orders[2] else 0.0)
-        vv = v + (combo[3][0] * steps[3] if orders[3] else 0.0)
-        out = out + weight * np.asarray(fn(xx, yy, uu, vv), dtype=complex)
-    for axis, d in enumerate(orders):
-        if d:
-            out = out / steps[axis] ** d
-    return out
+    return _stencil_sum(lambda node: _at_node(fn, node, x, y, u, v),
+                        orders, y, h)
 
 
 def _frozen(fn, p, q):
@@ -175,23 +190,44 @@ def _chart(fn, x, y):
     return chart
 
 
-def _apply_groups(fn, groups, k, x, y, u, v) -> np.ndarray:
-    """Evaluate an operator given as a nonempty sequence of groups
-    ``(c, terms)``: the coefficient ``c(x, y, u, v, k)`` times the sum of
-    ``w`` times the mixed partial of ``fn`` along ``axes`` over the pairs
-    ``(w, axes)`` in ``terms`` (``"xuu"`` is ``d_x d_u^2``, and ``""`` is
-    ``fn`` itself).  Groups and terms are added left to right."""
+def _apply_groups(fn, tables, k, x, y, u, v) -> list[np.ndarray]:
+    """Evaluate operators given as tables, one value per table.  A table is
+    a nonempty sequence of groups ``(c, terms)``: the coefficient
+    ``c(x, y, u, v, k)`` times the sum of ``w`` times the mixed partial of
+    ``fn`` along ``axes`` over the pairs ``(w, axes)`` in ``terms``
+    (``"xuu"`` is ``d_x d_u^2``, and ``""`` is ``fn`` itself), added left
+    to right.  ``fn`` is called once per distinct node of all tables, keyed
+    on its offsets ``o h_d`` (the first-order ``2 * 1e-3`` is the
+    second-order ``1 * 2e-3``), and each value is dropped after its last
+    use."""
     x, y, u, v = _grid(x, y, u, v)
 
+    def orders(axes):
+        return tuple(axes.count(a) for a in "xyuv")
+
+    def key(node):
+        return None if node is None else tuple(o * hd for o, hd in node)
+
+    uses = Counter(key(node) for groups in tables for _, terms in groups
+                   for _, axes in terms for _, node in (
+                       _nodes(orders(axes)) if axes else ((1.0, None),)))
+    values = {}
+
+    def value(node):
+        at = key(node)
+        if at not in values:
+            values[at] = _at_node(fn, node, x, y, u, v)
+        uses[at] -= 1
+        return values[at] if uses[at] else values.pop(at)
+
     def term(w, axes):
-        orders = tuple(axes.count(a) for a in "xyuv")
-        d = (partial_derivative(fn, orders, x, y, u, v) if axes
-             else np.asarray(fn(x, y, u, v), dtype=complex))
+        d = _stencil_sum(value, orders(axes), y) if axes else value(None)
         return d if w == 1 else w * d
 
-    return reduce(add, (coeff(x, y, u, v, k)
-                        * reduce(add, (term(*t) for t in terms))
-                        for coeff, terms in groups))
+    return [reduce(add, (coeff(x, y, u, v, k)
+                         * reduce(add, (term(*t) for t in terms))
+                         for coeff, terms in groups))
+            for groups in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +267,7 @@ def _operator(phi: ModularFunction, groups, shift: int = 0) -> ModularFunction:
     """``phi`` under the operator ``groups``, with its weight shifted."""
     k = phi.weight
     return ModularFunction(
-        lambda x, y, u, v: _apply_groups(phi.fn, groups, k, x, y, u, v),
+        lambda x, y, u, v: _apply_groups(phi.fn, (groups,), k, x, y, u, v)[0],
         k + shift)
 
 
@@ -265,8 +301,8 @@ def foliated(phi: ModularFunction, route: str = "uv") -> ModularFunction:
     def fn(x, y, u, v):  # the table's (x, y) groups at frozen (p, q)
         x, y, u, v = _grid(x, y, u, v)
         frozen = _frozen(phi.fn, v / y, u - v * x / y)
-        return _apply_groups(frozen, (_FOLIATED[0], _FOLIATED[3]),
-                             phi.weight, x, y, u, v)
+        return _apply_groups(frozen, ((_FOLIATED[0], _FOLIATED[3]),),
+                             phi.weight, x, y, u, v)[0]
 
     return ModularFunction(fn, phi.weight)
 
@@ -297,12 +333,12 @@ def total(phi: ModularFunction) -> ModularFunction:
 
 
 def compound(phi: ModularFunction, eps: float) -> ModularFunction:
-    """``foliated + eps * vertical``."""
-    fol = foliated(phi)
-    ver = vertical(phi)
+    """``foliated + eps * vertical``, the two sharing stencil nodes."""
 
     def fn(x, y, u, v):
-        return fol.fn(x, y, u, v) + eps * ver.fn(x, y, u, v)
+        fol, ver = _apply_groups(phi.fn, (_FOLIATED, _VERTICAL), phi.weight,
+                                 x, y, u, v)
+        return fol + eps * ver
 
     return ModularFunction(fn, phi.weight)
 

@@ -21,6 +21,11 @@ function on points into a function on the group:
 
     lift(phi)(element) = exp(i k theta) y^(k/2) phi(tau, z(element)).
 
+Group elements may carry numpy arrays that broadcast as entries: such an
+element is the array of its entrywise elements, on which ``compose``,
+``inverse``, ``lift`` and the action (``_act_arrays``, ``slash``) work
+entrywise with the scalar arithmetic.
+
 The invariant measure on the quotient is ``dx dy du dv / y^3`` (equivalently
 ``dx dy dp dq / y^2``); its total mass is ``pi / 3`` and ``sample_masur_veech``
 draws from the normalized law by exact inverse-CDF sampling, truncated at a
@@ -46,7 +51,6 @@ __all__ = [
     "act_on_jacobi",
     "slash",
     "lift",
-    "lift_eval_arrays",
     "element_from_iwasawa",
     "iwasawa_from_element",
     "point_to_element",
@@ -91,7 +95,7 @@ class SL2Element:
         return self.a * self.d - self.b * self.c
 
     def renormalized(self) -> "SL2Element":
-        s = 1.0 / math.sqrt(self.det())
+        s = 1.0 / np.sqrt(self.det())
         return SL2Element(self.a * s, self.b * s, self.c * s, self.d * s, 0)
 
     def __matmul__(self, o: "SL2Element") -> "SL2Element":
@@ -108,9 +112,6 @@ class SL2Element:
 
     def inv(self) -> "SL2Element":
         return SL2Element(self.d, -self.b, -self.c, self.a, self.chain)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,55 +305,35 @@ def element_to_point(e: SAffElement) -> tuple[JacobiPoint, float]:
     return JacobiPoint(c.x, c.y, u=c.w2, v=c.w1 * c.y), c.theta
 
 
-def lift(phi: ModularFunction) -> Callable[[SAffElement], complex]:
+def lift(phi: ModularFunction) -> Callable[[SAffElement], np.ndarray]:
     """Lift a weight-k point function to the group.
 
     ``lift(phi)(e) = exp(i k theta) y^(k/2) phi(point(e))``; the result
     intertwines the slash action with right group translation and transforms
     under right rotation by the character ``exp(i k theta)`` (K-type k).
+    The entries of ``e`` may be arrays: the values then come as a complex
+    array of their broadcast shape.  Scalar entries are evaluated as
+    one-entry arrays, so where the entries share one shape each value is
+    bitwise the value at the scalar element of those entries.
     """
     k = phi.weight
 
-    def fn(e: SAffElement) -> complex:
-        c = iwasawa_from_element(e)
-        val = phi.at(JacobiPoint(c.x, c.y, u=c.w2, v=c.w1 * c.y))
-        return (math.cos(k * c.theta) + 1j * math.sin(k * c.theta)) * c.y ** (k / 2.0) * val
+    def fn(e: SAffElement) -> np.ndarray:
+        entries = (e.g.a, e.g.b, e.g.c, e.g.d, e.w[0], e.w[1])
+        shape = np.broadcast_shapes(*map(np.shape, entries))
+        a, b, c, d, w1, w2 = np.broadcast_arrays(*map(np.atleast_1d, entries))
+        den = c * c + d * d
+        y = 1.0 / den
+        x = (a * c + b * d) / den
+        theta = np.arctan2(-c, d)
+        sq = np.sqrt(y)
+        ct, st = np.cos(theta), np.sin(theta)
+        r1 = (w1 * ct + w2 * st) / sq
+        r2 = (-w1 * st + w2 * ct) * sq
+        vals = np.exp(1j * k * theta) * y ** (k / 2.0) * phi(x, y, r2, r1 * y)
+        return vals.reshape(shape)[()]   # a scalar for a scalar element
 
     return fn
-
-
-def lift_eval_arrays(phi: ModularFunction, gmats: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Vectorized lift evaluation.
-
-    Parameters
-    ----------
-    phi:
-        Weight-k modular function.
-    gmats:
-        Array of shape ``(..., 2, 2)`` of SL2 matrices.
-    ws:
-        Array of shape ``(..., 2)`` of translation rows.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex array of lift values, shape ``(...)``.
-    """
-    a = gmats[..., 0, 0]
-    b = gmats[..., 0, 1]
-    c = gmats[..., 1, 0]
-    d = gmats[..., 1, 1]
-    den = c * c + d * d
-    y = 1.0 / den
-    x = (a * c + b * d) / den
-    theta = np.arctan2(-c, d)
-    sq = np.sqrt(y)
-    ct, st = np.cos(theta), np.sin(theta)
-    w1 = (ws[..., 0] * ct + ws[..., 1] * st) / sq
-    w2 = (-ws[..., 0] * st + ws[..., 1] * ct) * sq
-    k = phi.weight
-    vals = phi.fn(x, y, w2, w1 * y)
-    return np.exp(1j * k * theta) * y ** (k / 2.0) * vals
 
 
 _S = SL2Element(0.0, -1.0, 1.0, 0.0)

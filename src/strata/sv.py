@@ -572,13 +572,9 @@ class FundamentalBump:
             * (1.0 + 0.5 * np.cos(2.0 * math.pi * np.asarray(q)))
         return bump * trig
 
-    def on_point(self, pt: JacobiPoint) -> float:
-        red, _ = reduce_to_fundamental(pt)
-        return float(self.formula(red.x, red.y, red.p, red.q))
-
     def on_element(self, e: SAffElement) -> float:
-        pt, _theta = element_to_point(e)
-        return self.on_point(pt)
+        red, _ = reduce_to_fundamental(element_to_point(e)[0])
+        return float(self.formula(red.x, red.y, red.p, red.q))
 
 
 def _stabilizer_cosets(n_samples: int, seed: int, y_max: float):
@@ -696,8 +692,8 @@ def apply_euclidean(op: DiffOp, f: PlaneFunction) -> PlaneFunction:
         zeta = np.asarray(zeta, dtype=complex)
         out = np.zeros(zeta.shape, dtype=complex)  # the zero operator's image
         if groups:
-            out = out + _apply_groups(plane, groups, 0, zeta.imag, 1.0,
-                                      zeta.real, 1.0)
+            out = out + _apply_groups(plane, (groups,), 0, zeta.imag, 1.0,
+                                      zeta.real, 1.0)[0]
         return out
 
     return PlaneFunction(fn, f.support_radius, k_type=f.k_type)
@@ -714,17 +710,11 @@ def sv_commutation_residuals(f: PlaneFunction, M: int,
     residuals are relative to the scale of the quadratic image.
     """
     phi = sv_rel_modular(f, M)
-    df = apply_euclidean(quadratic, f)
-    phi_df = sv_rel_modular(df, M)
-    num_tot = 0.0
-    num_fol = 0.0
-    scale = 0.0
-    for pt in pts:
-        args = (pt.x, pt.y, pt.u, pt.v)
-        fol_val = complex(foliated(phi).fn(*args))
-        tot_val = complex(total(phi).fn(*args))
-        want = complex(phi_df.fn(*args))
-        num_tot = max(num_tot, abs(tot_val))
-        num_fol = max(num_fol, abs(fol_val - want))
-        scale = max(scale, abs(want), abs(fol_val), 1e-30)
-    return num_tot / scale, num_fol / scale
+    phi_df = sv_rel_modular(apply_euclidean(quadratic, f), M)
+    x, y, u, v = (np.array([getattr(pt, c) for pt in pts]) for c in "xyuv")
+    fol = foliated(phi).fn(x, y, u, v)
+    tot = total(phi).fn(x, y, u, v)
+    want = phi_df.fn(x, y, u, v)
+    scale = max(np.abs(want).max(), np.abs(fol).max(), 1e-30)
+    return (float(np.abs(tot).max() / scale),
+            float(np.abs(fol - want).max() / scale))

@@ -1,8 +1,8 @@
 """Every name a ``strata`` module exports in ``__all__`` resolves, so a
 deleted function cannot leave a stale export behind; every module-level
 import is used or exported, so a deleted caller cannot leave a stale import;
-every method and private function is referenced somewhere, so a deleted
-caller cannot leave a dead definition; Gauss-Legendre nodes and
+every method and module-level function and class is referenced somewhere,
+so a deleted caller cannot leave a dead definition; Gauss-Legendre nodes and
 stencil derivatives each come from one place, so a second copy of the
 interval map or of the operator loop cannot creep back; and importing the
 CLI, then building a radial Fourier spline and evaluating a lattice sum,
@@ -53,10 +53,10 @@ def test_module_imports_are_used(path):
 
 
 def _definitions(tree):
-    """Methods and module-level private functions, dunders excepted."""
+    """Methods and module-level functions and classes, dunders excepted."""
     found = [n.name for n in tree.body
-             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and n.name.startswith("_")]
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef))]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
         found += [n.name for n in cls.body
                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -64,9 +64,10 @@ def _definitions(tree):
 
 
 def test_no_dead_definitions():
-    """Every method and private function of ``strata`` is referenced from
-    the package, its tests or its benchmark, so a deleted caller cannot
-    leave its callee behind."""
+    """Every method and module-level function and class of ``strata`` is
+    referenced from the package, its tests or its benchmark (a listing in
+    ``__all__`` is not a reference), so a deleted caller cannot leave its
+    callee behind, nor a public twin of a function that replaced it."""
     root = pathlib.Path(strata.__file__).parents[2]
     referenced = set()
     for folder in ("src", "tests", "perfbench"):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from strata.saff import (
     _RENORM_EVERY,
+    _act_arrays,
     _batch_mean_stderr,
     IwasawaCoords,
     JacobiPoint,
@@ -29,7 +30,6 @@ from strata.saff import (
     inner_product,
     iwasawa_from_element,
     lift,
-    lift_eval_arrays,
     point_to_element,
     reduce_arrays,
     reduce_to_fundamental,
@@ -89,15 +89,22 @@ def test_renormalization_wraps_chain_and_keeps_integer_matrices():
     rng = np.random.default_rng(17)
     n = 2 * _RENORM_EVERY + 9
     # random SL2(R) steps k(theta) a(e^t) n(x): the chain counter wraps
-    # before it reaches the threshold and the determinant stays at one
+    # before it reaches the threshold and the determinant stays at one; an
+    # element of array entries takes the same steps with the same bits
     g = SL2Element.identity()
+    pair = SL2Element(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
     for _ in range(n):
         theta, t, x = (rng.uniform(0.0, 2.0 * math.pi),
                        rng.uniform(-0.1, 0.1), rng.normal() * 0.1)
         c, s, e = math.cos(theta), math.sin(theta), math.exp(t)
-        g = g @ SL2Element(c * e, c * e * x - s / e, s * e, s * e * x + c / e)
+        step = (c * e, c * e * x - s / e, s * e, s * e * x + c / e)
+        g = g @ SL2Element(*step)
+        pair = pair @ SL2Element(*(np.full(2, v) for v in step))
         assert 0 <= g.chain < _RENORM_EVERY
         assert abs(g.det() - 1.0) <= 1e-12
+        assert all(np.array_equal(getattr(pair, name),
+                                  np.full(2, getattr(g, name)))
+                   for name in "abcd")
     # integer words: the rescale by det^(-1/2) = 1 changes no bit, which
     # the reduction to the fundamental domain relies on
     gens = [((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1))]
@@ -231,16 +238,56 @@ def test_lift_intertwines_slash_and_translation():
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
-def test_lift_eval_arrays_matches_scalar():
-    phi = ModularFunction(
-        lambda x, y, u, v: (x + 1j * y) * np.exp(2j * math.pi * v / y),
-        weight=1)
+def _stacked(els, shape):
+    """The scalar elements ``els`` as one array-valued element of ``shape``."""
+    a, b, c, d, w1, w2 = (np.reshape(t, shape) for t in zip(
+        *((e.g.a, e.g.b, e.g.c, e.g.d, *e.w) for e in els)))
+    return SAffElement(SL2Element(a, b, c, d), (w1, w2))
+
+
+def test_lift_on_array_valued_element_matches_scalar_bits():
     els = random_elements(8, 17)
-    mats = np.array([e.g.as_array() for e in els])
-    ws = np.array([e.w for e in els])
-    got = lift_eval_arrays(phi, mats, ws)
-    want = np.array([lift(phi)(e) for e in els])
-    assert np.allclose(got, want, atol=1e-11)
+    batch = _stacked(els, (2, 4))
+    for k in (-1, 0, 1, 2, 3, 4):
+        phi = ModularFunction(
+            lambda x, y, u, v: (x + 1j * y) * np.exp(2j * math.pi * v / y),
+            weight=k)
+        got = lift(phi)(batch)
+        want = np.array([lift(phi)(e) for e in els])
+        assert got.shape == (2, 4)
+        assert np.array_equal(got.reshape(-1).view(np.uint64),
+                              want.view(np.uint64))
+
+
+_S_ELT = SAffElement.from_sl2(SL2Element(0.0, -1.0, 1.0, 0.0))
+_T_ELT = SAffElement.from_sl2(SL2Element(1.0, 1.0, 0.0, 1.0))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(1, 8))
+def test_array_valued_compose_and_act_match_scalar_bits(seed, length):
+    """Composing words as one array-valued element and acting once gives,
+    per point, the bits of the scalar composition and action."""
+    n = 12
+    rng = np.random.default_rng(seed)
+    letters = [_S_ELT, _T_ELT, _T_ELT.inverse(),
+               SAffElement.translation(1.0, -2.0),
+               *random_elements(3, seed)]
+    words = rng.integers(0, len(letters), (n, length))
+    pts = (rng.uniform(-3.0, 3.0, n), np.exp(rng.uniform(-3.0, 3.0, n)),
+           rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n))
+    gamma = _stacked([letters[j] for j in words[:, 0]], n)
+    for col in words.T[1:]:
+        gamma = gamma.compose(_stacked([letters[j] for j in col], n))
+    got = np.array(_act_arrays(gamma, *pts)[:4]).T
+    want = []
+    for word, pt in zip(words, zip(*pts)):
+        g = letters[word[0]]
+        for j in word[1:]:
+            g = g.compose(letters[j])
+        img = act_on_jacobi(g, JacobiPoint(*pt))
+        want.append((img.x, img.y, img.u, img.v))
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 # -- fundamental domain -----------------------------------------------------

@@ -22,7 +22,6 @@ from strata.saff import (
     ModularFunction,
     SAffElement,
     SL2Element,
-    act_on_jacobi,
     inner_product,
     sample_masur_veech,
     slash,
@@ -410,19 +409,22 @@ def test_sv_invariance_k0_random_pairs():
     us = rng.uniform(-1.5, 1.5, n)
     vs = rng.uniform(-1.5, 1.5, n)
     base = sv_rel_values(f, xs, ys, us, vs, M)
-    gens = [S_ELT, T_ELT, T_ELT.inverse()]
-    x2 = np.empty(n)
-    y2 = np.empty(n)
-    u2 = np.empty(n)
-    v2 = np.empty(n)
+    # rows (a, b, c, d, w1, w2) of the letters S, T, T^-1 and of the
+    # identity, which pads every word to four letters
+    table = np.array([(g.g.a, g.g.b, g.g.c, g.g.d, *g.w) for g in (
+        S_ELT, T_ELT, T_ELT.inverse(), SAffElement.identity())])
+    shifts = np.empty((n, 2))
+    words = np.full((n, 4), 3)
     for i in range(n):
-        gamma = SAffElement(SL2Element(1.0, 0.0, 0.0, 1.0),
-                            (float(rng.integers(-2, 3)),
-                             float(rng.integers(-2, 3))))
-        for j in rng.integers(0, 3, int(rng.integers(1, 5))):
-            gamma = gamma.compose(gens[int(j)])
-        pt2 = act_on_jacobi(gamma, JacobiPoint(xs[i], ys[i], us[i], vs[i]))
-        x2[i], y2[i], u2[i], v2[i] = pt2.x, pt2.y, pt2.u, pt2.v
+        shifts[i] = rng.integers(-2, 3), rng.integers(-2, 3)
+        letters = rng.integers(0, 3, int(rng.integers(1, 5)))
+        words[i, :letters.size] = letters
+    # all words at once, as one array-valued element
+    gamma = SAffElement(SL2Element(1.0, 0.0, 0.0, 1.0),
+                        (shifts[:, 0], shifts[:, 1]))
+    for a, b, c, d, w1, w2 in table[words.T].transpose(0, 2, 1):
+        gamma = gamma.compose(SAffElement(SL2Element(a, b, c, d), (w1, w2)))
+    x2, y2, u2, v2, _ = _act_arrays(gamma, xs, ys, us, vs)
     moved = sv_rel_values(f, x2, y2, u2, v2, M)
     scale = np.max(np.abs(base))
     assert scale > 0.01
