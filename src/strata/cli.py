@@ -66,6 +66,8 @@ from .sv import (
 from .special import RadialProfile
 
 SUITES = ("algebra", "operators", "series", "sv", "fourier")
+# Batch count of the suites' Monte-Carlo estimates.
+_N_BATCHES = 100
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def run_series(cfg: RunConfig) -> list[dict]:
         abs(c0), abs(c0) < 1e-8))
     want_norm = beta_norm_sq(beta, 2, 0.7, 1.7)
     n_mc = max(20_000, min(cfg.samples, 200_000))
-    est, err = inner_product(E, E, n_samples=n_mc, seed=seed)
+    est, err = inner_product(E, E, n_samples=n_mc, seed=seed,
+                             n_batches=_N_BATCHES)
     checks.append(_check(
         "series norm, Monte Carlo pairing against the profile integral",
         want_norm, float(est.real),
@@ -246,7 +249,8 @@ def run_sv(cfg: RunConfig) -> list[dict]:
     f = _truncated_gaussian(cfg.r_lattice)
     mass = float(plane_integral(f).real)
     want = cfg.M ** 2 * mass
-    est_c, err = sv_mean_mc(f, cfg.M, n_samples=cfg.samples, seed=seed)
+    est_c, err = sv_mean_mc(f, cfg.M, n_samples=cfg.samples, seed=seed,
+                            n_batches=_N_BATCHES)
     est = float(np.real(est_c))
     checks = [_check(
         f"transform mean over the moduli space equals "
@@ -477,6 +481,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run configuration: defaults, then ``--config``, then the flags.
+
+    Raises
+    ------
+    ValueError
+        If the file does not parse, or ``samples`` is below the suites'
+        batch count, ``M < 1`` or ``r_lattice`` is not positive and finite.
+    OSError
+        If the file cannot be read.
+    """
     cfg = RunConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -487,7 +501,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
+    if cfg.samples < _N_BATCHES:
+        raise ValueError(f"samples must be at least {_N_BATCHES}, the "
+                         f"suites' batch count, got {cfg.samples}")
+    if cfg.M < 1:
+        raise ValueError(f"M must be at least 1, got {cfg.M}")
+    if not 0.0 < cfg.r_lattice < math.inf:
+        raise ValueError(
+            f"r_lattice must be positive and finite, got {cfg.r_lattice}")
+    return cfg
 
 
 def _emit(text: str, out_path: str) -> None:

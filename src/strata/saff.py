@@ -558,6 +558,11 @@ def _disc_points(c_re, c_im, x, y, rho):
 
 # Lattice points one run of samples may enumerate (a few MB of temporaries).
 _POINT_BUDGET = 1 << 17
+# Samples one block of a Monte-Carlo estimate may hold, in whole batches
+# (a batch larger than this is a block of its own).  Smaller blocks made
+# glibc return the lattice runs' freed temporaries to the OS and cost
+# page faults; measure ``strata all`` again before shrinking it.
+_SAMPLE_BLOCK = 1 << 18
 
 
 def _runs(y: np.ndarray, c: float):
@@ -619,15 +624,36 @@ def sample_masur_veech(n: int, seed: int, y_max: float = 1e3) -> MasurVeechSampl
     ``y^(-2)`` on ``(sqrt(1 - x^2), y_max)``, and ``(p, q)`` are uniform on
     the unit square.  The truncation at ``y_max`` leaves tail mass
     ``(3/pi)/y_max``, reported by the sample object.
+
+    The draw is the block ``[0, n)`` of :func:`_sample_block`, so any
+    block ``[lo, hi)`` drawn alone is bitwise this sample's slice
+    ``[lo:hi]``.
     """
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    ux = rng.random(n)
+    return _sample_block(n, seed, y_max, 0, n)
+
+
+def _sample_block(n: int, seed: int, y_max: float, lo: int, hi: int
+                  ) -> MasurVeechSample:
+    """Samples ``[lo, hi)`` of the ``n``-point draw of
+    :func:`sample_masur_veech`, without drawing the others.
+
+    The draw takes four uniform streams of ``n`` values in turn from
+    ``PCG64(seed)``, for ``x``, ``y``, ``p`` and ``q``, one generator
+    output per value; stream ``k`` is moved forward to output
+    ``k n + lo`` with ``PCG64.advance``, so the block is bitwise the slice
+    of the full draw.
+    """
+    bitgen = np.random.PCG64(seed)
+    rng = np.random.Generator(bitgen)
+    bitgen.advance(lo)
+    streams = []
+    for _ in range(4):
+        streams.append(rng.random(hi - lo))
+        bitgen.advance(n - (hi - lo))   # on to output lo of the next stream
+    ux, uy, p, q = streams
     x = np.sin(math.pi * (ux - 0.5) / 3.0)
     y_min = np.sqrt(1.0 - x * x)
-    uy = rng.random(n)
     y = y_min / (1.0 - uy * (1.0 - y_min / y_max))
-    p = rng.random(n)
-    q = rng.random(n)
     return MasurVeechSample(x=x, y=y, p=p, q=q, seed=seed, y_max=y_max)
 
 
@@ -656,14 +682,30 @@ def _batch_stats(batches: np.ndarray):
     return batches.mean(axis=0), np.sqrt(var / batches.shape[0])
 
 
-def _batch_mean_stderr(vals: np.ndarray, n_batches: int):
+def _batch_estimate(block_values: Callable[[int, int], np.ndarray],
+                    n_samples: int, n_batches: int):
     """Batch-means estimate and standard error over the leading (sample)
-    axis of ``vals``, as two arrays of shape ``vals.shape[1:]``; raises
-    ``ValueError`` as :func:`_batch_size`."""
-    size = _batch_size(vals.shape[0], n_batches)
-    batches = vals[:size * n_batches].reshape(
-        n_batches, size, *vals.shape[1:]).mean(axis=1)
-    return _batch_stats(batches)
+    axis, with the samples taken one block at a time.
+
+    ``block_values(lo, hi)`` returns the values of samples ``[lo, hi)``.
+    The ``n_batches`` batches of ``n_samples // n_batches`` samples are
+    asked for in blocks of whole batches, at most ``_SAMPLE_BLOCK``
+    samples each (a larger batch is a block alone), and only each block's
+    batch means are kept, so memory is bounded by the block and not by
+    ``n_samples``.  The remainder past the last batch is never asked for.
+    A batch mean does not depend on the blocks.  Returns two arrays of
+    the values' trailing shape; raises ``ValueError`` as
+    :func:`_batch_size`, before any block is asked for.
+    """
+    size = _batch_size(n_samples, n_batches)
+    step = max(_SAMPLE_BLOCK // size, 1) * size
+    end = size * n_batches
+    means = []
+    for lo in range(0, end, step):
+        vals = block_values(lo, min(lo + step, end))
+        means.append(vals.reshape(-1, size, *vals.shape[1:]).mean(axis=1))
+        del vals   # freed before the next block is made
+    return _batch_stats(np.concatenate(means))
 
 
 def inner_product(phi1: ModularFunction, phi2: ModularFunction,
@@ -675,8 +717,11 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     Computes ``integral of phi1 conj(phi2) y^k dx dy du dv / y^3`` over the
     quotient as ``(pi/3) E[phi1 conj(phi2) y^k]`` under the normalized
     invariant law.  Returns ``(estimate, stderr)`` with the standard error
-    taken over batch means.  A self-pairing (``phi2 is phi1``) evaluates
-    the function once.
+    taken over batch means.  The samples of
+    ``sample_masur_veech(n_samples, seed, y_max)`` are drawn and evaluated
+    one block at a time (:func:`_batch_estimate`), so memory is bounded by
+    the block.  A self-pairing (``phi2 is phi1``) evaluates the function
+    once.
 
     Raises
     ------
@@ -687,10 +732,19 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     if phi1.weight != phi2.weight:
         raise ValueError("weights must match for the pairing")
     k = phi1.weight
-    _batch_size(n_samples, n_batches)   # fail before sampling
-    s = sample_masur_veech(n_samples, seed, y_max)
-    vals1 = phi1.fn(s.x, s.y, s.u, s.v)
-    vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
-    vals = (vals1 * np.conj(vals2) * s.y ** k) * VOLUME_SL2
-    est, err = _batch_mean_stderr(vals, n_batches)
+
+    def values(lo, hi):
+        s = _sample_block(n_samples, seed, y_max, lo, hi)
+        vals1 = phi1.fn(s.x, s.y, s.u, s.v)
+        vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
+        # Explicit in-place steps, the ones numpy takes on its own for
+        # temporaries of 256 KiB and more: the same loops at every block
+        # size, so a value does not depend on the blocks.
+        vals = np.conj(vals2).astype(complex, copy=False)
+        vals *= vals1
+        vals *= s.y ** k
+        vals *= VOLUME_SL2
+        return vals
+
+    est, err = _batch_estimate(values, n_samples, n_batches)
     return complex(est), float(err)

@@ -50,12 +50,13 @@ from .saff import (
     SAffElement,
     SL2Element,
     _act_entries,
-    _batch_mean_stderr,
+    _batch_estimate,
     _batch_size,
     _batch_stats,
     _check_points,
     _disc_points,
     _runs,
+    _sample_block,
     coprime_pairs,
     element_to_point,
     reduce_arrays,
@@ -388,13 +389,20 @@ def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     """MC estimate of the mean of the transform (probability measure).
 
     Returns ``(estimate, stderr)``; the mean identity states the value
-    ``M^2`` times the plane integral of ``f``.
+    ``M^2`` times the plane integral of ``f``.  The samples of
+    ``sample_masur_veech(n_samples, seed, y_max)`` are drawn and summed
+    one block of whole batches at a time (``saff._batch_estimate``), so
+    memory is bounded by the block and not by ``n_samples``; a block drawn
+    alone is bitwise its slice of the full draw, so the estimate does not
+    depend on the blocks.
     """
     _check_M(M)
-    _batch_size(n_samples, n_batches)   # fail before sampling
-    s = sample_masur_veech(n_samples, seed, y_max=y_max)
-    vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
-    est, err = _batch_mean_stderr(vals, n_batches)
+
+    def values(lo, hi):
+        s = _sample_block(n_samples, seed, y_max, lo, hi)
+        return sv_rel_values(f, s.x, s.y, s.u, s.v, M)
+
+    est, err = _batch_estimate(values, n_samples, n_batches)
     return complex(est), float(err)
 
 
@@ -408,12 +416,17 @@ def sv_second_moment_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     where the fibre coordinate aligns with the short lattice direction), so
     ``y_max`` trades truncation bias against variance; use
     :func:`sv_second_moment_exact_fibre` for a variance-reduced estimate.
+    The samples are drawn and summed one block at a time, as in
+    :func:`sv_mean_mc`.
     """
     _check_M(M)
-    _batch_size(n_samples, n_batches)
-    s = sample_masur_veech(n_samples, seed, y_max=y_max)
-    vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
-    est, err = _batch_mean_stderr(vals * vals, n_batches)
+
+    def values(lo, hi):
+        s = _sample_block(n_samples, seed, y_max, lo, hi)
+        vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
+        return vals * vals
+
+    est, err = _batch_estimate(values, n_samples, n_batches)
     return complex(est), float(err)
 
 
@@ -495,16 +508,20 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     only the base average is estimated by MC, which removes the dominant
     fibre-alignment variance of the plain estimator.  Radial ``f`` only
     (the 4-coordinate section drops the frame angle, which is immaterial
-    exactly when ``f`` is rotation-invariant).
+    exactly when ``f`` is rotation-invariant).  The base points are drawn
+    and summed one block at a time, as in :func:`sv_mean_mc`.
     """
     _check_M(M)
-    _batch_size(n_samples, n_batches)
+    _batch_size(n_samples, n_batches)   # fail before the Hankel work
     fhat = radial_fourier(f0, rho_max, n_grid)
     h = RadialProfile(lambda r: fhat.fn(r) ** 2, rho_max)
-    s = sample_masur_veech(n_samples, seed, y_max=y_max)
     zero_mode = float(fhat(0.0)) ** 2
-    vals = M ** 4 * (dual_norm_sum_values(h, s.x, s.y, M) + zero_mode)
-    est, err = _batch_mean_stderr(vals, n_batches)
+
+    def values(lo, hi):
+        s = _sample_block(n_samples, seed, y_max, lo, hi)
+        return M ** 4 * (dual_norm_sum_values(h, s.x, s.y, M) + zero_mode)
+
+    est, err = _batch_estimate(values, n_samples, n_batches)
     return complex(est), float(err)
 
 
@@ -614,7 +631,8 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
         for j, p in enumerate(p_rows):
             e = SAffElement(g, (p[0] - a[i], p[1] - b[i]))
             vals[i, j] = h(e)
-    est, err = _batch_mean_stderr(vals, n_batches)
+    est, err = _batch_estimate(lambda lo, hi: vals[lo:hi], n_samples,
+                               n_batches)
     return VOLUME_SL2 * est, VOLUME_SL2 * err
 
 

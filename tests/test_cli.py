@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,55 @@ def test_unknown_suite_exits_2(capsys):
 def test_bad_eps_list_exits_2(capsys):
     assert main(["spectrum", "--eps", "1,banana"]) == 2
     capsys.readouterr()
+
+
+def _config_error(argv, capsys, tmp_path, key, value):
+    """Exit code and stderr of ``argv`` with ``key = value``, once set in a
+    config file and once as a flag."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    out = []
+    for extra in (["--config", str(path)], [flag, str(value)]):
+        code = main(argv + extra)
+        out.append((code, capsys.readouterr().err))
+    return out
+
+
+@pytest.mark.parametrize("samples", [50, 99, -5])
+def test_too_few_samples_exits_2(samples, capsys, tmp_path):
+    """Fewer samples than the suites' 100 batches is a configuration
+    error, not a traceback."""
+    for code, err in _config_error(["verify", "sv"], capsys, tmp_path,
+                                   "samples", samples):
+        assert code == 2
+        assert err.count("\n") == 1 and "samples" in err
+
+
+@pytest.mark.parametrize("M", [0, -2])
+def test_nonpositive_M_exits_2(M, capsys, tmp_path):
+    for code, err in _config_error(["verify", "sv"], capsys, tmp_path,
+                                   "M", M):
+        assert code == 2
+        assert err.count("\n") == 1 and "M must be" in err
+
+
+@pytest.mark.parametrize("r_lattice", [-1.0, 0.0, "nan", "inf"])
+def test_nonpositive_r_lattice_exits_2(r_lattice, capsys, tmp_path):
+    for code, err in _config_error(["all"], capsys, tmp_path, "r_lattice",
+                                   r_lattice):
+        assert code == 2
+        assert err.count("\n") == 1 and "r_lattice" in err
+
+
+def test_default_report_matches_golden(monkeypatch, capsys):
+    """``strata all`` at its default configuration writes the committed
+    report byte for byte.  A deliberate change to the last bits of a value
+    regenerates ``tests/data/report_all_default.json``."""
+    monkeypatch.delenv("STRATA_THREADS", raising=False)
+    assert main(["all"]) == 0
+    golden = Path(__file__).parent / "data" / "report_all_default.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from strata.saff import (
     _RENORM_EVERY,
     _act_arrays,
-    _batch_mean_stderr,
+    _batch_estimate,
+    _sample_block,
     IwasawaCoords,
     JacobiPoint,
     MasurVeechSample,
@@ -437,13 +438,18 @@ def test_batch_means_reject_unformable_batches():
     """Batch means raise on one batch (no spread) and on fewer samples
     than batches, instead of returning NaN."""
     vals = np.arange(12.0)
+
+    def batch_means(n_batches):
+        return _batch_estimate(lambda lo, hi: vals[lo:hi], vals.size,
+                               n_batches)
+
     with pytest.raises(ValueError, match="n_batches >= 2"):
-        _batch_mean_stderr(vals, 1)
+        batch_means(1)
     with pytest.raises(ValueError, match="n_batches >= 2"):
-        _batch_mean_stderr(vals, 0)
+        batch_means(0)
     with pytest.raises(ValueError, match="12 samples cannot fill 13"):
-        _batch_mean_stderr(vals, 13)
-    est, err = _batch_mean_stderr(vals, 12)   # one sample per batch
+        batch_means(13)
+    est, err = batch_means(12)   # one sample per batch
     assert est == np.mean(vals) and np.isfinite(err)
     one = ModularFunction(lambda x, y, u, v: x + 0j, weight=0)
     with pytest.raises(ValueError, match="n_batches >= 2"):
@@ -469,6 +475,45 @@ def test_sampler_reproducible_and_in_domain():
     assert np.all(s1.y <= s1.y_max)
     assert np.all((s1.p >= 0) & (s1.p < 1) & (s1.q >= 0) & (s1.q < 1))
     assert abs(s1.tail_mass - (3 / math.pi) / 1e3) < 1e-15
+
+
+def _sequential_draw(n, seed, y_max):
+    """Reference sampler: the four uniform streams drawn one after the
+    other from one generator, each in full."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    ux = rng.random(n)
+    x = np.sin(math.pi * (ux - 0.5) / 3.0)
+    y_min = np.sqrt(1.0 - x * x)
+    uy = rng.random(n)
+    y = y_min / (1.0 - uy * (1.0 - y_min / y_max))
+    return x, y, rng.random(n), rng.random(n)
+
+
+def _sample_bits(sample):
+    return [np.asarray(getattr(sample, c)).view(np.uint64) for c in "xypq"]
+
+
+@pytest.mark.parametrize("n, seed, y_max", [(1, 0, 1e3), (1000, 42, 1e3),
+                                            (40_037, 7, 1e6)])
+def test_sampler_matches_sequential_draw(n, seed, y_max):
+    want = _sequential_draw(n, seed, y_max)
+    got = _sample_bits(sample_masur_veech(n, seed, y_max))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w.view(np.uint64))
+
+
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 63 - 1),
+       y_max=st.floats(1.5, 1e8), data=st.data())
+def test_block_draw_is_slice_of_full_draw(n, seed, y_max, data):
+    """A block drawn alone is bitwise its slice of the full draw."""
+    lo = data.draw(st.integers(0, n - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, n), label="hi")
+    block = _sample_block(n, seed, y_max, lo, hi)
+    assert len(block) == hi - lo
+    assert (block.seed, block.y_max) == (seed, y_max)
+    full = _sample_bits(sample_masur_veech(n, seed, y_max))
+    for b, f in zip(_sample_bits(block), full):
+        assert np.array_equal(b, f[lo:hi])
 
 
 def test_sampler_matches_known_integrals():

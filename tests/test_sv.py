@@ -16,7 +16,6 @@ from strata.saff import (
     VOLUME_SL2,
     JacobiPoint,
     _act_arrays,
-    _batch_mean_stderr,
     element_to_point,
     reduce_to_fundamental,
     ModularFunction,
@@ -688,6 +687,15 @@ def test_sv_adjoint_fast_path_matches_generic():
     assert np.max(np.abs(slow - fast)) < 1e-10
 
 
+def _full_batch_stats(vals, n_batches):
+    """Reference batch means: the whole sample table reduced at once."""
+    size = vals.shape[0] // n_batches
+    batches = vals[:size * n_batches].reshape(
+        n_batches, size, *vals.shape[1:]).mean(axis=1)
+    var = batches.real.var(axis=0, ddof=1) + batches.imag.var(axis=0, ddof=1)
+    return batches.mean(axis=0), np.sqrt(var / n_batches)
+
+
 def _adjoint_of_bump_loop(hb, p_rows, n_samples, seed, n_batches=20,
                           y_max=1e3):
     """Per-sample reference for ``sv_adjoint_of_bump``: each base point is
@@ -712,7 +720,7 @@ def _adjoint_of_bump_loop(hb, p_rows, n_samples, seed, n_batches=20,
         p -= np.floor(p)
         q -= np.floor(q)
         vals[i] = hb.formula(red_base.x, y_r, p, q)
-    est, err = _batch_mean_stderr(vals, n_batches)
+    est, err = _full_batch_stats(vals, n_batches)
     return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
 
 
@@ -789,6 +797,8 @@ def test_batch_estimators_fail_before_sampling(monkeypatch):
     calls = []
     for target in ("strata.sv.sample_masur_veech",
                    "strata.saff.sample_masur_veech",
+                   "strata.sv._sample_block",
+                   "strata.saff._sample_block",
                    "strata.sv._stabilizer_cosets",
                    "strata.sv.hankel_transform"):
         monkeypatch.setattr(
@@ -809,6 +819,105 @@ def test_batch_estimators_fail_before_sampling(monkeypatch):
         with pytest.raises(ValueError, match="10 samples cannot fill 20"):
             estimate(n_samples=10, n_batches=20)
     assert calls == []
+
+
+# Full-array references: every sample drawn and evaluated at once, the
+# estimators' bodies before they streamed blocks.
+def _sv_mean_full(f, M, n_samples, seed, n_batches, y_max):
+    s = sample_masur_veech(n_samples, seed, y_max=y_max)
+    return _full_batch_stats(sv_rel_values(f, s.x, s.y, s.u, s.v, M),
+                             n_batches)
+
+
+def _sv_second_moment_full(f, M, n_samples, seed, n_batches, y_max):
+    s = sample_masur_veech(n_samples, seed, y_max=y_max)
+    vals = sv_rel_values(f, s.x, s.y, s.u, s.v, M)
+    return _full_batch_stats(vals * vals, n_batches)
+
+
+def _exact_fibre_full(f0, M, n_samples, seed, n_batches, y_max):
+    fhat = radial_fourier(f0)
+    h = RadialProfile(lambda r: fhat.fn(r) ** 2, fhat.support_radius)
+    s = sample_masur_veech(n_samples, seed, y_max=y_max)
+    zero_mode = float(fhat(0.0)) ** 2
+    vals = M ** 4 * (dual_norm_sum_values(h, s.x, s.y, M) + zero_mode)
+    return _full_batch_stats(vals, n_batches)
+
+
+def _inner_product_full(phi1, phi2, n_samples, seed, n_batches, y_max):
+    s = sample_masur_veech(n_samples, seed, y_max)
+    vals1 = phi1.fn(s.x, s.y, s.u, s.v)
+    vals2 = vals1 if phi2 is phi1 else phi2.fn(s.x, s.y, s.u, s.v)
+    vals = (vals1 * np.conj(vals2) * s.y ** phi1.weight) * VOLUME_SL2
+    return _full_batch_stats(vals, n_batches)
+
+
+def _wave(n, m, k):
+    """A complex weight-k function, so pairings carry an imaginary part."""
+    def fn(x, y, u, v):
+        return (np.exp(2j * math.pi * (n * x + m * v / y))
+                / (1.0 + y) ** (1.0 + 0.5 * k))
+    return ModularFunction(fn, k)
+
+
+def _estimator_pairs():
+    f, f0 = _gauss_plane(), _gauss_profile()
+    w1, w2, w3 = _wave(1, 1, 0), _wave(2, -1, 0), _wave(1, 2, 2)
+    return {
+        "mean": (lambda **kw: sv_mean_mc(f, 2, **kw),
+                 lambda **kw: _sv_mean_full(f, 2, **kw), 1e3),
+        "second_moment": (lambda **kw: sv_second_moment_mc(f, 1, **kw),
+                          lambda **kw: _sv_second_moment_full(f, 1, **kw),
+                          1e3),
+        "exact_fibre": (
+            lambda **kw: sv_second_moment_exact_fibre(f0, 2, **kw),
+            lambda **kw: _exact_fibre_full(f0, 2, **kw), 1e6),
+        "pairing_self": (lambda **kw: inner_product(w1, w1, **kw),
+                         lambda **kw: _inner_product_full(w1, w1, **kw), 1e3),
+        "pairing_cross": (lambda **kw: inner_product(w1, w2, **kw),
+                          lambda **kw: _inner_product_full(w1, w2, **kw),
+                          1e3),
+        "pairing_weight2": (lambda **kw: inner_product(w3, w3, **kw),
+                            lambda **kw: _inner_product_full(w3, w3, **kw),
+                            1e3),
+    }
+
+
+@pytest.mark.parametrize("name", ["mean", "second_moment", "exact_fibre",
+                                  "pairing_self", "pairing_cross",
+                                  "pairing_weight2"])
+def test_streamed_estimators_match_full_array_bitwise(name, monkeypatch):
+    """Streaming the samples in blocks leaves every estimate's bits: with
+    the block shrunk so that one call spans several blocks (of 3, 2 and 1
+    batches, and of one batch larger than the block) plus a remainder that
+    is never drawn, each estimator equals its full-array body as uint64.
+    40 037 samples are past the 16 384 from which numpy runs the old
+    pairing product in place."""
+    streamed, full, y_max = _estimator_pairs()[name]
+    kw = dict(n_samples=40_037, seed=23, n_batches=20, y_max=y_max)
+    want = full(**kw)   # 2001-sample batches, 17 samples left over
+    want = np.array([want[0].real, want[0].imag, want[1]]).view(np.uint64)
+    for block in (3 * 2001, 5000, 1000, 1 << 18):
+        monkeypatch.setattr("strata.saff._SAMPLE_BLOCK", block)
+        est, err = streamed(**kw)
+        got = np.array([est.real, est.imag, err]).view(np.uint64)
+        assert np.array_equal(got, want), block
+
+
+def test_sv_mean_mc_memory_bounded_by_block():
+    """At a fixed batch size, four blocks of samples peak where one does;
+    holding every sample would quadruple the sample arrays."""
+    f = PlaneFunction(lambda z: np.exp(-np.abs(z) ** 2), 0.3)
+    peaks = []
+    for n_samples, n_batches in ((1 << 18, 64), (1 << 20, 256)):
+        tracemalloc.start()
+        try:
+            sv_mean_mc(f, 1, n_samples=n_samples, seed=3,
+                       n_batches=n_batches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_sv_adjoint_duality():
