@@ -40,11 +40,11 @@ images on the stencil engine: fourth-order central stencils, steps scaled by
 of ``vertical`` keep their own chart derivatives.  Appliers return lazy
 ``ModularFunction`` wrappers with the shifted weight, so operators compose.
 
-Group side: ``right_regular_word`` realizes elements of the enveloping
-algebra as right-invariant derivatives of functions on the group, and the
-lift of a weight-k function intertwines ``foliated`` and ``total`` with the
-right-regular images of twice the quadratic and cubic central elements; the
-tests pin the sign conventions.
+Group side: ``right_regular_element`` realizes elements of the enveloping
+algebra as right-invariant derivatives (``right_derivative``, one function
+call per real word), and the lift of a weight-k function intertwines
+``foliated`` and ``total`` with the right-regular images of twice the
+quadratic and cubic central elements; the tests pin the sign conventions.
 
 Mode level: on a seed ``beta(y) e(n x + m v / y)`` the negated foliated
 operator acts as the radial operator
@@ -86,7 +86,6 @@ __all__ = [
     "eigen_residual",
     "fit_lambda",
     "right_derivative",
-    "right_regular_word",
     "right_regular_element",
     "quadratic_form_residual",
 ]
@@ -410,12 +409,12 @@ def eigen_residual(beta, k: int, n: int, lam: float, y_grid) -> float:
 # right-regular realization on the group
 # ---------------------------------------------------------------------------
 
-def _exp_real(name: str, t: float) -> SAffElement:
-    """One-parameter subgroup of a real basis generator."""
+def _exp_real(name: str, t) -> SAffElement:
+    """One-parameter subgroup of a real generator; ``t`` may be an array."""
     if name == "F":
         return SAffElement.from_sl2(SL2Element(1.0, t, 0.0, 1.0))
     if name == "H":
-        e = math.exp(t)
+        e = np.exp(t)
         return SAffElement.from_sl2(SL2Element(e, 0.0, 0.0, 1.0 / e))
     if name == "G":
         return SAffElement.from_sl2(SL2Element(1.0, 0.0, t, 1.0))
@@ -426,47 +425,31 @@ def _exp_real(name: str, t: float) -> SAffElement:
     raise ValueError(f"unknown real generator {name!r}")
 
 
-def right_derivative(fun: Callable[[SAffElement], complex], e: SAffElement,
-                     name: str) -> complex:
-    """``d/dt fun(e exp(t A))`` at ``t = 0`` for a real generator ``A``."""
-    offs, ws = _stencil(1)
-    total_val = 0.0 + 0.0j
-    for o, w in zip(offs, ws):
-        if w == 0.0:
-            continue
-        total_val += w * fun(e.compose(_exp_real(name, o * _RIGHT_H)))
-    return total_val / _RIGHT_H
+def right_derivative(fun: Callable[[SAffElement], np.ndarray],
+                     e: SAffElement, word: Sequence[str]) -> complex:
+    """Nested first right derivatives along a word of real generators, left
+    to right (``"FH"``: ``d^2/ds dt fun(e exp(s F) exp(t H))`` at zero), by
+    one call of ``fun`` on the array-valued element over the word's stencil
+    nodes, one axis per letter, in the entries' broadcast shape."""
+    offs, ws = zip(*((o, w) for o, w in zip(*_stencil(1)) if w != 0.0))
+    t = np.array(offs) * _RIGHT_H
+    for axis, name in enumerate(word):
+        e = e.compose(_exp_real(name, t.reshape((-1,) + (1,) * (
+            len(word) - 1 - axis))))
+    vals = fun(e)
+    for _ in word:   # the stencil weights, last axis first
+        vals = sum(w * vals[..., i] for i, w in enumerate(ws)) / _RIGHT_H
+    return complex(vals)
 
 
-def right_regular_word(fun: Callable[[SAffElement], complex],
-                       word: Sequence[str]
-                       ) -> Callable[[SAffElement], complex]:
-    """Composite right derivative along a word of real generators.
-
-    The word acts left-to-right: ``(A, B)`` maps ``fun`` to
-    ``e -> d^2/ds dt fun(e exp(s A) exp(t B))``.
-    """
-    if not word:
-        return fun
-    inner = right_regular_word(fun, word[1:])
-    head = word[0]
-    return lambda e: right_derivative(inner, e, head)
-
-
-def right_regular_element(fun: Callable[[SAffElement], complex],
+def right_regular_element(fun: Callable[[SAffElement], np.ndarray],
                           elem: Element, e: SAffElement) -> complex:
-    """Apply an enveloping-algebra element through the right-regular action.
-
-    ``elem`` holds monomials in the complex basis; ``enveloping._real_words``
-    expands each letter complex-linearly into the real generators and
-    collects equal real words exactly, so words that cancel drop out and each
-    distinct real word is realized once, as nested right derivatives of
-    ``fun`` at ``e``.
-    """
-    acc = 0.0 + 0.0j
-    for word, coeff in _real_words(elem).items():
-        acc += complex(coeff) * right_regular_word(fun, word)(e)
-    return acc
+    """Apply an enveloping-algebra element through the right-regular action:
+    ``enveloping._real_words`` expands it exactly into words of the real
+    generators (words that cancel drop out), and each distinct word is one
+    :func:`right_derivative` (so ``fun`` must take array-valued elements)."""
+    return sum((complex(coeff) * right_derivative(fun, e, word)
+                for word, coeff in _real_words(elem).items()), 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ function on points into a function on the group:
 Group elements may carry numpy arrays that broadcast as entries: such an
 element is the array of its entrywise elements, on which ``compose``,
 ``inverse``, ``lift`` and the action (``_act_arrays``, ``slash``) work
-entrywise with the scalar arithmetic.
+entrywise with the scalar arithmetic; so do the charts, whose coordinates
+(``IwasawaCoords``) may be arrays too.
 
 The invariant measure on the quotient is ``dx dy du dv / y^3`` (equivalently
 ``dx dy dp dq / y^2``); its total mass is ``pi / 3`` and ``sample_masur_veech``
@@ -155,10 +156,7 @@ class SAffElement:
 
     def apply_to_vector(self, v: tuple[float, float]) -> tuple[float, float]:
         """Affine right action ``v -> v g + w`` on a row vector."""
-        return (
-            v[0] * self.g.a + v[1] * self.g.c + self.w[0],
-            v[0] * self.g.b + v[1] * self.g.d + self.w[1],
-        )
+        return SAffElement.translation(*v).compose(self).w
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +167,7 @@ class IwasawaCoords:
     The element is ``([[1, x], [0, 1]], (w1, w2)) . diag(sqrt(y), 1/sqrt(y))
     . rot(theta)`` where ``rot(theta) = [[cos, sin], [-sin, cos]]``; the
     translation coordinates relate to the Jacobi point by ``w1 = v / y``,
-    ``w2 = u``.
+    ``w2 = u``.  The fields may be arrays (of an array-valued element).
     """
 
     x: float
@@ -208,10 +206,6 @@ class JacobiPoint:
     def from_pq(x: float, y: float, p: float, q: float) -> "JacobiPoint":
         return JacobiPoint(x, y, u=q + p * x, v=p * y)
 
-    @staticmethod
-    def base() -> "JacobiPoint":
-        return JacobiPoint(0.0, 1.0, 0.0, 0.0)
-
 
 @dataclass
 class ModularFunction:
@@ -229,9 +223,7 @@ class ModularFunction:
                        np.asarray(u, float), np.asarray(v, float))
 
     def at(self, pt: JacobiPoint) -> complex:
-        return complex(np.asarray(self.fn(
-            np.asarray(pt.x), np.asarray(pt.y),
-            np.asarray(pt.u), np.asarray(pt.v))))
+        return complex(np.asarray(self(pt.x, pt.y, pt.u, pt.v)))
 
 
 def _act_entries(a, b, c, d, w1, w2, x, y, u, v):
@@ -270,31 +262,32 @@ def slash(phi: ModularFunction, e: SAffElement) -> ModularFunction:
 
 
 def element_from_iwasawa(c: IwasawaCoords) -> SAffElement:
-    n = SAffElement(SL2Element(1.0, c.x, 0.0, 1.0), (c.w1, c.w2))
-    sq = math.sqrt(c.y)
-    a = SAffElement.from_sl2(SL2Element(sq, 0.0, 0.0, 1.0 / sq))
-    ct, st = math.cos(c.theta), math.sin(c.theta)
-    k = SAffElement.from_sl2(SL2Element(ct, st, -st, ct))
-    return n.compose(a).compose(k)
+    """The element of NAK coordinates, in closed form; raises
+    ``ValueError`` naming a coordinate that is not finite, or ``y <= 0``."""
+    _check_points(x=c.x, y=c.y, w1=c.w1, w2=c.w2, theta=c.theta)
+    sq = np.sqrt(c.y)
+    ct, st = np.cos(c.theta), np.sin(c.theta)
+    xs, w2s = c.x / sq, c.w2 / sq
+    g = SL2Element(sq * ct - xs * st, sq * st + xs * ct, -st / sq, ct / sq)
+    return SAffElement(g, (c.w1 * sq * ct - w2s * st,
+                           c.w1 * sq * st + w2s * ct))
 
 
 def iwasawa_from_element(e: SAffElement) -> IwasawaCoords:
-    """Invert the NAK chart (theta taken in (-pi, pi])."""
+    """Invert the NAK chart; only theta, in (-pi, pi], needs trigonometry."""
     a, b, c, d = e.g.a, e.g.b, e.g.c, e.g.d
+    w1, w2 = e.w
     den = c * c + d * d
     y = 1.0 / den
     x = (a * c + b * d) / den
-    theta = math.atan2(-c, d)
-    sq = math.sqrt(y)
-    ct, st = math.cos(theta), math.sin(theta)
-    # (w1, w2) = w_raw . rot(theta)^-1 . diag(sqrt(y), 1/sqrt(y))^-1
-    r1 = e.w[0] * ct + e.w[1] * st
-    r2 = -e.w[0] * st + e.w[1] * ct
-    return IwasawaCoords(x, y, r1 / sq, r2 * sq, theta)
+    return IwasawaCoords(x, y, w1 * d - w2 * c, y * (w1 * c + w2 * d),
+                         np.arctan2(-c, d))
 
 
 def point_to_element(pt: JacobiPoint, theta: float = 0.0) -> SAffElement:
-    """Section of the point map: an element sending the base point to ``pt``."""
+    """Section of the point map: an element sending the base point to
+    ``pt``; raises as :func:`element_from_iwasawa`."""
+    _check_points(x=pt.x, y=pt.y, u=pt.u, v=pt.v, theta=theta)
     return element_from_iwasawa(
         IwasawaCoords(pt.x, pt.y, pt.v / pt.y, pt.u, theta))
 
@@ -322,15 +315,10 @@ def lift(phi: ModularFunction) -> Callable[[SAffElement], np.ndarray]:
         entries = (e.g.a, e.g.b, e.g.c, e.g.d, e.w[0], e.w[1])
         shape = np.broadcast_shapes(*map(np.shape, entries))
         a, b, c, d, w1, w2 = np.broadcast_arrays(*map(np.atleast_1d, entries))
-        den = c * c + d * d
-        y = 1.0 / den
-        x = (a * c + b * d) / den
-        theta = np.arctan2(-c, d)
-        sq = np.sqrt(y)
-        ct, st = np.cos(theta), np.sin(theta)
-        r1 = (w1 * ct + w2 * st) / sq
-        r2 = (-w1 * st + w2 * ct) * sq
-        vals = np.exp(1j * k * theta) * y ** (k / 2.0) * phi(x, y, r2, r1 * y)
+        pt, theta = element_to_point(
+            SAffElement(SL2Element(a, b, c, d), (w1, w2)))
+        vals = (np.exp(1j * k * theta) * pt.y ** (k / 2.0)
+                * phi(pt.x, pt.y, pt.u, pt.v))
         return vals.reshape(shape)[()]   # a scalar for a scalar element
 
     return fn
@@ -516,16 +504,16 @@ def coprime_pairs(cmax: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_points(**coords: np.ndarray) -> None:
     """Reject points no evaluator can use: raise ``ValueError`` naming the
     first non-finite coordinate, then for ``y <= 0``.  ``coords`` are arrays
-    keyed by coordinate name, ``y`` among them."""
+    or numbers keyed by coordinate name, ``y`` among them."""
     y = coords["y"]
     # One pass over the sum keeps scalar calls cheap; the per-coordinate
     # pass only runs to name the culprit (and passes on a mere overflow).
-    if np.isfinite(sum(coords.values())).all() and (y > 0.0).all():
+    if np.isfinite(sum(coords.values())).all() and np.all(y > 0.0):
         return
     for name, arr in coords.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
-    if not (y > 0.0).all():
+    if not np.all(y > 0.0):
         raise ValueError("y must be positive")
 
 
@@ -627,7 +615,8 @@ def sample_masur_veech(n: int, seed: int, y_max: float = 1e3) -> MasurVeechSampl
 
     The draw is the block ``[0, n)`` of :func:`_sample_block`, so any
     block ``[lo, hi)`` drawn alone is bitwise this sample's slice
-    ``[lo:hi]``.
+    ``[lo:hi]``.  Raises ``ValueError`` unless ``y_max > 1``; ``inf``
+    draws from the untruncated law.
     """
     return _sample_block(n, seed, y_max, 0, n)
 
@@ -641,8 +630,9 @@ def _sample_block(n: int, seed: int, y_max: float, lo: int, hi: int
     ``PCG64(seed)``, for ``x``, ``y``, ``p`` and ``q``, one generator
     output per value; stream ``k`` is moved forward to output
     ``k n + lo`` with ``PCG64.advance``, so the block is bitwise the slice
-    of the full draw.
+    of the full draw.  Raises ``ValueError`` as :func:`_check_y_max`.
     """
+    _check_y_max(y_max)
     bitgen = np.random.PCG64(seed)
     rng = np.random.Generator(bitgen)
     bitgen.advance(lo)
@@ -655,6 +645,12 @@ def _sample_block(n: int, seed: int, y_max: float, lo: int, hi: int
     y_min = np.sqrt(1.0 - x * x)
     y = y_min / (1.0 - uy * (1.0 - y_min / y_max))
     return MasurVeechSample(x=x, y=y, p=p, q=q, seed=seed, y_max=y_max)
+
+
+def _check_y_max(y_max: float) -> None:
+    """Raise ``ValueError`` unless the truncation lies above the domain."""
+    if not y_max > 1.0:
+        raise ValueError(f"y_max must be > 1, got {y_max}")
 
 
 def _batch_size(n_samples: int, n_batches: int) -> int:
@@ -726,8 +722,8 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     Raises
     ------
     ValueError
-        If the two functions carry different weights, ``n_batches < 2`` or
-        there are fewer samples than batches.
+        If the two functions carry different weights, ``n_batches < 2``,
+        there are fewer samples than batches or ``y_max <= 1``.
     """
     if phi1.weight != phi2.weight:
         raise ValueError("weights must match for the pairing")

@@ -45,6 +45,7 @@ import numpy as np
 from .enveloping import DiffOp
 from .saff import (
     VOLUME_SL2,
+    IwasawaCoords,
     JacobiPoint,
     ModularFunction,
     SAffElement,
@@ -54,10 +55,12 @@ from .saff import (
     _batch_size,
     _batch_stats,
     _check_points,
+    _check_y_max,
     _disc_points,
     _runs,
     _sample_block,
     coprime_pairs,
+    element_from_iwasawa,
     element_to_point,
     reduce_arrays,
     reduce_to_fundamental,
@@ -194,11 +197,9 @@ class MarkedTorus:
         return abs((np.conj(self.b1) * self.b2).imag)
 
     def acted(self, g: SL2Element) -> "MarkedTorus":
-        def mv(zeta: complex) -> complex:
-            return complex(zeta.real * g.a + zeta.imag * g.c,
-                           zeta.real * g.b + zeta.imag * g.d)
-
-        return MarkedTorus(mv(self.b1), mv(self.b2), mv(self.z))
+        e = SAffElement.from_sl2(g)   # the row action zeta -> zeta g
+        return MarkedTorus(*(complex(*e.apply_to_vector((z.real, z.imag)))
+                             for z in (self.b1, self.b2, self.z)))
 
 
 def _check_M(M) -> None:
@@ -513,6 +514,7 @@ def sv_second_moment_exact_fibre(f0: RadialProfile, M: int,
     """
     _check_M(M)
     _batch_size(n_samples, n_batches)   # fail before the Hankel work
+    _check_y_max(y_max)
     fhat = radial_fourier(f0, rho_max, n_grid)
     h = RadialProfile(lambda r: fhat.fn(r) ** 2, rho_max)
     zero_mode = float(fhat(0.0)) ** 2
@@ -604,14 +606,16 @@ def _stabilizer_cosets(n_samples: int, seed: int, y_max: float):
     s = sample_masur_veech(n_samples, seed, y_max=y_max)
     rng = np.random.default_rng(seed + 1)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    sq = np.sqrt(s.y)
-    ct, st = np.cos(theta), np.sin(theta)
-    # n(x) a(y) k(theta) assembled directly
-    a = sq * ct - (s.x / sq) * st
-    b = sq * st + (s.x / sq) * ct
-    c = -st / sq
-    d = ct / sq
-    return a, b, c, d
+    g = element_from_iwasawa(IwasawaCoords(s.x, s.y, 0.0, 0.0, theta)).g
+    return g.a, g.b, g.c, g.d
+
+
+def _plane_rows(p_rows) -> np.ndarray:
+    """``p_rows`` as a finite float (n, 2) array, or ``ValueError``."""
+    rows = np.atleast_2d(np.asarray(p_rows, float))
+    if rows.ndim != 2 or rows.shape[1] != 2 or not np.isfinite(rows).all():
+        raise ValueError("p_rows must be a finite array of shape (n, 2)")
+    return rows
 
 
 def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
@@ -620,9 +624,10 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
     """Formal adjoint at plane rows: MC average of ``h`` over the
     stabilizer coset of each row, times the base mass ``pi/3``.
 
-    ``p_rows`` has shape (n, 2).  Returns ``(values, stderrs)``.
+    ``p_rows`` has shape (n, 2).  Returns ``(values, stderrs)``; raises
+    ``ValueError`` for bad rows, batches or ``y_max`` before calling ``h``.
     """
-    p_rows = np.atleast_2d(np.asarray(p_rows, float))
+    p_rows = _plane_rows(p_rows)
     _batch_size(n_samples, n_batches)
     a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
     vals = np.empty((n_samples, p_rows.shape[0]), dtype=complex)
@@ -644,34 +649,29 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
     Exploits that the base part of the coset element does not depend on
     the plane row: the base points are reduced together by
     :func:`~strata.saff.reduce_arrays`, and the fibre coordinates then
-    follow in closed form for all rows at once.  The work runs one
+    follow from the NAK chart for all rows at once.  The work runs one
     batch-means block at a time (``n_samples // n_batches`` samples by
     all rows), so at most one block of fibre values is held.  Returns
-    ``(values, stderrs)`` as in :func:`sv_adjoint`.
+    ``(values, stderrs)`` and raises as :func:`sv_adjoint`.
     """
-    p_rows = np.atleast_2d(np.asarray(p_rows, float))
+    p_rows = _plane_rows(p_rows)
     size = _batch_size(n_samples, n_batches)
     # one sample per row, against the plane rows along the columns
     a, b, c, d = (t[:size * n_batches, None]
                   for t in _stabilizer_cosets(n_samples, seed, y_max))
-    # base point of (g, w), as iwasawa_from_element takes it from g alone
-    den = c * c + d * d
-    y_base = 1.0 / den
-    x_base = (a * c + b * d) / den
-    (x_r, y_r, _, _), gamma = reduce_arrays(x_base, y_base, 0.0, 0.0)
+    # the base point of (g, w) depends on g alone
+    base, _ = element_to_point(SAffElement(SL2Element(a, b, c, d), (0.0, 0.0)))
+    (x_r, y_r, _, _), gamma = reduce_arrays(base.x, base.y, 0.0, 0.0)
     batches = np.empty((n_batches, p_rows.shape[0]))
     for k in range(n_batches):
         blk = slice(k * size, (k + 1) * size)
-        w1 = p_rows[:, 0] - a[blk]
-        w2 = p_rows[:, 1] - b[blk]
-        # fibre coordinates in closed form, u = y (w1 c + w2 d),
-        # v = y (w1 d - w2 c), then moved by gamma
-        yb = y_base[blk]
-        u = yb * (w1 * c[blk] + w2 * d[blk])
-        v = yb * (w1 * d[blk] - w2 * c[blk])
-        del w1, w2   # block-sized temporaries go as soon as they are used
-        _, _, u, v, _ = _act_entries(*(g[blk] for g in gamma), x_base[blk],
-                                     yb, u, v)
+        # the point of each coset (g, p - (1, 0) g), then moved by gamma
+        pt, _ = element_to_point(SAffElement(
+            SL2Element(a[blk], b[blk], c[blk], d[blk]),
+            (p_rows[:, 0] - a[blk], p_rows[:, 1] - b[blk])))
+        _, _, u, v, _ = _act_entries(*(g[blk] for g in gamma), pt.x, pt.y,
+                                     pt.u, pt.v)
+        del pt   # block-sized arrays go as soon as they are used
         p = v / y_r[blk]
         q = u - v * x_r[blk] / y_r[blk]
         del u, v

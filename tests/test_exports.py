@@ -2,9 +2,10 @@
 deleted function cannot leave a stale export behind; every module-level
 import is used or exported, so a deleted caller cannot leave a stale import;
 every method and module-level function and class is referenced somewhere,
-so a deleted caller cannot leave a dead definition; Gauss-Legendre nodes and
-stencil derivatives each come from one place, so a second copy of the
-interval map or of the operator loop cannot creep back; and importing the
+so a deleted caller cannot leave a dead definition; Gauss-Legendre nodes,
+stencil derivatives and the NAK chart's angle each come from one place, so
+a second copy of the interval map, of the operator loop or of the chart
+cannot creep back; and importing the
 CLI, then building a radial Fourier spline and evaluating a lattice sum,
 loads neither ``scipy.interpolate``, ``scipy.integrate``,
 ``scipy.optimize``, ``scipy.sparse`` nor ``mpmath``, so a module-level
@@ -85,26 +86,33 @@ def test_no_dead_definitions():
     assert dead == []
 
 
-def _callers(name):
-    """Names of the source files that call a function or method ``name``."""
-    return {path.name for path in SOURCES
+def _call_sites(*names):
+    """The source file of each call of a function or method in ``names``."""
+    return [path.name for path in SOURCES
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None))
-            == name}
+            in names]
 
 
 def test_gauss_legendre_nodes_come_from_special():
     """``leggauss`` is called in ``special.py`` only: every other module
     takes its nodes from ``special._gl_nodes``."""
-    assert _callers("leggauss") <= {"special.py"}
+    assert set(_call_sites("leggauss")) <= {"special.py"}
 
 
 def test_stencils_are_called_in_operators_only():
     """``partial_derivative`` is called in ``operators.py`` only: every
     other module applies its differential operators through
     ``operators._apply_groups``."""
-    assert _callers("partial_derivative") <= {"operators.py"}
+    assert set(_call_sites("partial_derivative")) <= {"operators.py"}
+
+
+def test_iwasawa_angle_is_taken_once_in_saff():
+    """``atan2``/``arctan2`` is called at exactly one site, in ``saff.py``
+    (``iwasawa_from_element``): every other module takes the NAK chart
+    from ``saff``'s chart pair, not from a copy of its formulas."""
+    assert _call_sites("atan2", "arctan2") == ["saff.py"]
 
 
 _LAZY_IMPORTS = """

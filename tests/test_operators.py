@@ -15,6 +15,7 @@ Oracles
 * the integration-by-parts identity for the compound operator.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,8 @@ from strata.operators import (
     right_regular_element,
     total,
     vertical,
+    _RIGHT_H,
+    _exp_real,
     _stencil,
 )
 from strata.saff import (
@@ -339,8 +342,8 @@ def test_fit_lambda_rejects_vanishing_profile():
 def _group_test_function(e):
     c = iwasawa_from_element(e)
     return (np.exp(2j * c.theta) * c.y ** 1.3
-            * math.exp(-((c.x - 0.1) ** 2 + (c.w1 - 0.2) ** 2 + c.w2 ** 2))
-            * (1.0 + 0.3 * math.sin(2.0 * c.x)))
+            * np.exp(-((c.x - 0.1) ** 2 + (c.w1 - 0.2) ** 2 + c.w2 ** 2))
+            * (1.0 + 0.3 * np.sin(2.0 * c.x)))
 
 
 _BASE_ELT = element_from_iwasawa(
@@ -371,6 +374,36 @@ def test_right_derivative_along_horocycle():
     down = SAffElement.from_sl2(SL2Element(1.0, -eps, 0.0, 1.0))
     sec = (fun(_BASE_ELT.compose(shift)) - fun(_BASE_ELT.compose(down))) / (2 * eps)
     assert abs(got - sec) < 1e-6
+
+
+def _right_word_loop(fun, e, word):
+    """Reference: nested first right derivatives by scalar recursion, one
+    call of ``fun`` per stencil node."""
+    if not word:
+        return fun(e)
+    total_val = 0.0 + 0.0j
+    for o, w in zip(*_stencil(1)):
+        if w != 0.0:
+            total_val += w * _right_word_loop(
+                fun, e.compose(_exp_real(word[0], o * _RIGHT_H)), word[1:])
+    return total_val / _RIGHT_H
+
+
+def test_right_derivative_matches_scalar_recursion():
+    """One call on the array-valued element over a word's stencil grid
+    gives the nested scalar derivatives for every word of one to three
+    real letters, within rounding amplified by the stencil:
+    ``eps (1.5 / h)^L`` times the value (1.5 is the sum of the stencil's
+    absolute weights)."""
+    fun = lift(_seed_phi())
+    e = SAffElement(SL2Element(1.3, 0.4, 0.2, (1 + 0.4 * 0.2) / 1.3),
+                    (0.3, -0.2))
+    scale = 16.0 * np.finfo(float).eps * max(1.0, abs(fun(e)))
+    for length in (1, 2, 3):
+        bound = scale * (1.5 / _RIGHT_H) ** length
+        for word in itertools.product("FHGPQ", repeat=length):
+            got = right_derivative(fun, e, word)
+            assert abs(got - _right_word_loop(fun, e, word)) <= bound
 
 
 def _seed_phi(k=2, n=1, m=1):
@@ -405,7 +438,8 @@ def test_lift_intertwines_cubic_element():
 
 def test_right_regular_element_evaluates_each_real_word_once():
     # the cubic element expands into 32 real words, of which 8 are distinct;
-    # each nested first derivative of a word of three letters takes 4^3 calls
+    # each word of three letters is one call on an array-valued element
+    # over its 4^3 stencil nodes
     phi = _seed_phi()
     e = SAffElement(SL2Element(1.3, 0.4, 0.2, (1 + 0.4 * 0.2) / 1.3),
                     (0.3, -0.2))
@@ -413,11 +447,12 @@ def test_right_regular_element_evaluates_each_real_word_once():
     lifted = lift(phi)
 
     def counted(g):
-        calls.append(g)
+        calls.append(np.broadcast_shapes(
+            *map(np.shape, (g.g.a, g.g.b, g.g.c, g.g.d, *g.w))))
         return lifted(g)
 
     right_regular_element(counted, casimir_saff(), e)
-    assert len(calls) == 8 * 4 ** 3
+    assert calls == [(4, 4, 4)] * 8
 
 
 # ---------------------------------------------------------------------------

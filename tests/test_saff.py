@@ -157,6 +157,79 @@ def test_point_chart_round_trip():
         assert abs(theta2 - theta) < 1e-10
 
 
+_CHART_FIELDS = ("x", "y", "w1", "w2", "theta")
+
+
+def _entries(e):
+    return np.array([e.g.a, e.g.b, e.g.c, e.g.d, *e.w])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_iwasawa_on_array_valued_element_matches_scalar_bits(seed, n):
+    """The chart of an array-valued element is, entry by entry, the bits
+    of the chart of each scalar element (signed zeros in ``c`` and ``d``
+    among the draws)."""
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (6, n))
+    entries[2:4][rng.random((2, n)) < 0.1] = 0.0
+    entries[2:4] *= np.where(rng.random((2, n)) < 0.5, -1.0, 1.0)
+    entries[3][entries[2] == 0.0] += 1.0   # keep c^2 + d^2 > 0
+    got = iwasawa_from_element(
+        SAffElement(SL2Element(*entries[:4]), tuple(entries[4:])))
+    for i in range(n):
+        a, b, c, d, w1, w2 = map(float, entries[:, i])
+        one = iwasawa_from_element(SAffElement(SL2Element(a, b, c, d),
+                                               (w1, w2)))
+        assert np.array_equal(
+            _bits(*(getattr(got, f)[i] for f in _CHART_FIELDS)),
+            _bits(*(getattr(one, f) for f in _CHART_FIELDS)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200))
+def test_chart_round_trips_on_arrays(seed, n):
+    """``element_from_iwasawa`` after ``iwasawa_from_element`` gives an
+    array-valued element back, for heights from 1e-3 to 1e6; the chart
+    keeps ``y`` and ``theta`` of the coordinates it was built from."""
+    rng = np.random.default_rng(seed)
+    coords = IwasawaCoords(rng.normal(0.0, 3.0, n),
+                           10.0 ** rng.uniform(-3.0, 6.0, n),
+                           rng.normal(0.0, 3.0, n), rng.normal(0.0, 3.0, n),
+                           rng.uniform(-math.pi, math.pi, n))
+    e = element_from_iwasawa(coords)
+    chart = iwasawa_from_element(e)
+    back = element_from_iwasawa(chart)
+    scale = np.abs(_entries(e)).max(axis=0)
+    assert np.all(np.abs(_entries(back) - _entries(e)) <= 1e-14 * scale)
+    assert np.allclose(chart.y, coords.y, rtol=1e-14, atol=0.0)
+    assert np.allclose(chart.theta, coords.theta, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, bad, match", [
+    ("y", -1.0, "y must be positive"),
+    ("y", 0.0, "y must be positive"),
+    ("y", math.nan, "y must be finite"),
+    ("x", math.nan, "x must be finite"),
+    ("w2", math.inf, "w2 must be finite"),
+    ("theta", -math.inf, "theta must be finite"),
+])
+def test_chart_rejects_bad_coordinates(name, bad, match):
+    """``element_from_iwasawa`` and ``point_to_element`` name the bad
+    coordinate, for scalars and for one bad entry of an array."""
+    good = {"x": 0.3, "y": 1.2, "w1": 0.1, "w2": -0.2, "theta": 0.4}
+    for array in (False, True):
+        coords = {k: np.array([v, 0.5 * v]) if array else v
+                  for k, v in good.items()}
+        coords[name] = np.array([good[name], bad]) if array else bad
+        with pytest.raises(ValueError, match=match):
+            element_from_iwasawa(IwasawaCoords(**coords))
+        if name in ("x", "y", "theta"):
+            pt = JacobiPoint(coords["x"], coords["y"], 0.4, 0.7)
+            with pytest.raises(ValueError, match=match):
+                point_to_element(pt, coords["theta"])
+
+
 def test_pq_coordinates_invert():
     pt = JacobiPoint(0.3, 2.0, u=-0.7, v=1.1)
     back = JacobiPoint.from_pq(pt.x, pt.y, pt.p, pt.q)

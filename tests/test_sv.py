@@ -821,6 +821,55 @@ def test_batch_estimators_fail_before_sampling(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("y_max", [-3.0, 0.5, 1.0, math.nan])
+def test_estimators_reject_heights_below_the_domain(monkeypatch, y_max):
+    """A truncation height that does not lie above the fundamental domain
+    raises in the sampler and in every estimator, before any lattice,
+    Hankel, reduction or function work (spies record each call); the
+    untruncated law, ``y_max = inf``, stays valid."""
+    calls = []
+    for target in ("strata.sv.sv_rel_values",
+                   "strata.sv.dual_norm_sum_values",
+                   "strata.sv.hankel_transform",
+                   "strata.sv.reduce_arrays"):
+        monkeypatch.setattr(
+            target, lambda *args, target=target, **kw: calls.append(target))
+    phi = ModularFunction(lambda *args: calls.append("phi"), 0)
+    f, f0 = _gauss_plane(), _gauss_profile()
+    kw = {"n_samples": 200, "n_batches": 2, "y_max": y_max}
+    estimators = [
+        lambda: sample_masur_veech(5, 0, y_max=y_max),
+        lambda: sv_mean_mc(f, 1, **kw),
+        lambda: sv_second_moment_mc(f, 1, **kw),
+        lambda: sv_second_moment_exact_fibre(f0, 1, **kw),
+        lambda: inner_product(phi, phi, **kw),
+        lambda: sv_adjoint(lambda e: calls.append("h"), [[0.6, 0.3]], **kw),
+        lambda: sv_adjoint_of_bump(FundamentalBump(), [[0.6, 0.3]], **kw),
+    ]
+    for estimate in estimators:
+        with pytest.raises(ValueError, match="y_max must be > 1"):
+            estimate()
+    assert calls == []
+    s = sample_masur_veech(1000, 3, y_max=math.inf)
+    assert s.tail_mass == 0.0
+    assert np.all(np.isfinite(s.y)) and np.all(s.y >= np.sqrt(1.0 - s.x ** 2))
+
+
+@pytest.mark.parametrize("rows", [[[math.nan, 0.0]], [[0.6, math.inf]],
+                                  [[0.6, 0.3, 1.0]], np.zeros((2, 2, 2))])
+def test_adjoints_reject_bad_plane_rows(rows):
+    """Plane rows that are not a finite (n, 2) array raise, naming
+    ``p_rows``, before the function is called."""
+    calls = []
+    with pytest.raises(ValueError, match="p_rows"):
+        sv_adjoint(lambda e: calls.append(e), rows, n_samples=200,
+                   n_batches=2)
+    with pytest.raises(ValueError, match="p_rows"):
+        sv_adjoint_of_bump(FundamentalBump(), rows, n_samples=200,
+                           n_batches=2)
+    assert calls == []
+
+
 # Full-array references: every sample drawn and evaluated at once, the
 # estimators' bodies before they streamed blocks.
 def _sv_mean_full(f, M, n_samples, seed, n_batches, y_max):
