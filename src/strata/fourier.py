@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import saff
 from .saff import ModularFunction, SAffElement, SL2Element, lift
 from .special import _gl_nodes
 
@@ -118,17 +119,28 @@ def coeff_H0_table(phi: ModularFunction, y: float,
                    spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """FFT table with ``table[n % nx, m % nv]`` approximating ``cH0(n, m; y)``.
 
-    One evaluation of ``phi`` on the ``(nx, nu, nv)`` grid; the ``r = 0``
-    Heisenberg slice of the 3D FFT is copied out (a view would pin the FFT).
+    ``phi`` is evaluated on the ``(nx, nu, nv)`` grid in chunks of whole
+    x-slices, at most ``saff._SAMPLE_BLOCK`` grid points each (one slice
+    at least).  Each chunk is transformed along ``v``, then along ``u``,
+    and keeps only its ``r = 0`` rows; one FFT along ``x`` finishes the
+    table.  That is the axis order of ``np.fft.fftn``, so the table is
+    bitwise ``fftn(values)[:, 0, :] / (nx nu nv)`` while memory follows
+    the chunk, not the grid.
     """
-    x = np.arange(spec.nx)[:, None, None] / spec.nx
     u = np.arange(spec.nu)[None, :, None] / spec.nu
     t = np.arange(spec.nv)[None, None, :] / spec.nv
-    shape = (spec.nx, spec.nu, spec.nv)
-    vals = phi.fn(np.broadcast_to(x, shape), np.full(shape, y),
-                  np.broadcast_to(u, shape), np.broadcast_to(y * t, shape))
-    table = np.fft.fftn(np.asarray(vals, complex)) / (spec.nx * spec.nu * spec.nv)
-    return table[:, 0, :].copy()
+    step = max(saff._SAMPLE_BLOCK // (spec.nu * spec.nv), 1)
+    rows = np.empty((spec.nx, spec.nv), dtype=complex)
+    for lo in range(0, spec.nx, step):
+        hi = min(lo + step, spec.nx)
+        x = np.arange(lo, hi)[:, None, None] / spec.nx
+        shape = (hi - lo, spec.nu, spec.nv)
+        vals = phi.fn(np.broadcast_to(x, shape), np.full(shape, y),
+                      np.broadcast_to(u, shape), np.broadcast_to(y * t, shape))
+        vals = np.fft.fft(np.asarray(vals, complex), axis=2)
+        rows[lo:hi] = np.fft.fft(vals, axis=1)[:, 0, :]
+        del vals   # freed before the next chunk is made
+    return np.fft.fft(rows, axis=0) / (spec.nx * spec.nu * spec.nv)
 
 
 def coeff_H0(phi: ModularFunction, n: int, m: int, y: float,

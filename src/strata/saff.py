@@ -522,8 +522,10 @@ def _ragged(lo: np.ndarray, hi: np.ndarray):
     ``hi_i < lo_i``) into ``(owner, value)`` arrays, intervals in order."""
     count = np.maximum(hi - lo + 1, 0)
     owner = np.repeat(np.arange(lo.size), count)
-    starts = np.cumsum(count) - count
-    return owner, lo[owner] + (np.arange(owner.size) - starts[owner])
+    # value = lo + (position - start), as one repeat and one in-place add
+    value = np.repeat(lo - (np.cumsum(count) - count), count)
+    value += np.arange(value.size)
+    return owner, value
 
 
 def _disc_points(c_re, c_im, x, y, rho):
@@ -544,29 +546,31 @@ def _disc_points(c_re, c_im, x, y, rho):
     return row_sample, row_a, point_row, b
 
 
-# Lattice points one run of samples may enumerate (a few MB of temporaries).
-_POINT_BUDGET = 1 << 17
+# Lattice points one run of samples may enumerate (256 KiB per int64 or
+# float64 point array).  Against 2^17, the coefficient tables of the
+# benchmark page-fault about twelve times less (sweep in CHANGES.md).
+_POINT_BUDGET = 1 << 15
 # Samples one block of a Monte-Carlo estimate may hold, in whole batches
-# (a batch larger than this is a block of its own).  Smaller blocks made
-# glibc return the lattice runs' freed temporaries to the OS and cost
-# page faults; measure ``strata all`` again before shrinking it.
-_SAMPLE_BLOCK = 1 << 18
+# (a batch larger than this is a block of its own).  With runs of 2^15
+# points, blocks of 2^16 samples took the peak RSS of ``strata all`` from
+# about 122 to 94 MB; blocks of 2^15 saved 3 MB more but made the
+# coefficient tables page-fault five times as often (sweep in CHANGES.md).
+_SAMPLE_BLOCK = 1 << 16
 
 
-def _runs(y: np.ndarray, c: float):
+def _runs(y: np.ndarray, rho: np.ndarray):
     """Cut ``range(y.size)`` into runs ``[lo, hi)`` whose point bounds
-    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = c sqrt(y)``, sum to at most
-    ``_POINT_BUDGET``; a sample is never split, so one over the budget runs
-    alone.  A bound is at least ``(2c + 1)^2``, so costing the next
-    ``_POINT_BUDGET / (2c + 1)^2 + 1`` samples always reaches the cut.
+    ``(2 rho / y + 1)(2 rho + 1)`` sum to at most ``_POINT_BUDGET``, with
+    ``rho`` each sample's disc radius as given to :func:`_disc_points`.
+    A sample is never split, so one over the budget runs alone.  The
+    bounds are summed once per call; each cut is one binary search.
     """
-    window = int(_POINT_BUDGET / (2.0 * c + 1.0) ** 2) + 1
+    cost = np.cumsum((2.0 * rho / y + 1.0) * (2.0 * rho + 1.0))
     lo = 0
     while lo < y.size:
-        yy = y[lo:lo + window]
-        rho = c * np.sqrt(yy)
-        cost = np.cumsum((2.0 * rho / yy + 1.0) * (2.0 * rho + 1.0))
-        hi = lo + max(int(np.searchsorted(cost, _POINT_BUDGET, "right")), 1)
+        spent = cost[lo - 1] if lo else 0.0
+        hi = int(np.searchsorted(cost, spent + _POINT_BUDGET, "right"))
+        hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
 

@@ -43,8 +43,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
+from . import saff
 from .saff import (
-    _POINT_BUDGET,
     ModularFunction,
     _check_points,
     _disc_points,
@@ -279,7 +279,7 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
         """Runs ``[lo, hi)`` of points with their terms as ``(point, jac,
         a, b)`` arrays, ``jac = c tau + d``, by point, then ``(c, d)``."""
         if beta.support is None:
-            step = max(_POINT_BUDGET // box[0].size, 1)
+            step = max(saff._POINT_BUDGET // box[0].size, 1)
             for lo in range(0, x.size, step):
                 hi = min(lo + step, x.size)
                 point = np.repeat(np.arange(lo, hi), box[0].size)
@@ -289,12 +289,11 @@ def poincare(k: int, n: int, m: int, beta: BetaProfile,
         y0, y1 = beta.support
         # a hair of slack keeps rounding from dropping a boundary coset;
         # the exact support mask is applied to the terms
-        scale = (1.0 + 1e-9) / math.sqrt(y0)
-        for lo, hi in _runs(y, scale):
-            xs, ys = x[lo:hi], y[lo:hi]
-            zero = np.zeros(hi - lo)
+        rho = (1.0 + 1e-9) / math.sqrt(y0) * np.sqrt(y)
+        zero = np.zeros(y.size)
+        for lo, hi in _runs(y, rho):
             row_point, row_c, point_row, d = _disc_points(
-                zero, zero, xs, ys, scale * np.sqrt(ys))
+                zero[lo:hi], zero[lo:hi], x[lo:hi], y[lo:hi], rho[lo:hi])
             c = row_c[point_row]
             coset = np.gcd(c, d) == 1
             point, c, d = lo + row_point[point_row][coset], c[coset], d[coset]

@@ -257,8 +257,9 @@ def config_abs(t: MarkedTorus, R: float) -> np.ndarray:
 def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     """M-relative transform at sample arrays (broadcast, any shape).
 
-    Samples are summed in runs that enumerate at most 2^17 lattice points
-    (a few MB of temporaries) by the per-sample bound
+    Samples are summed in runs that enumerate at most
+    ``saff._POINT_BUDGET`` (2^15) lattice points, about 2 MB of
+    temporaries, by the per-sample bound
     ``(2 rho / y + 1)(2 rho + 1)``, ``rho = M R sqrt(y)``; a sample is never
     split, so one over the budget runs alone.  Values do not depend on the
     runs.  The result is complex; a real ``f`` sums in float64 and gets
@@ -278,17 +279,28 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     shape = xx.shape
     x, y, u, v = (np.ascontiguousarray(a.ravel()) for a in (xx, yy, uu, vv))
     out = np.zeros(x.size, dtype=complex)
-    R = f.support_radius
-    for lo, hi in _runs(y, M * R):
-        xs, ys, us, vs = x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi]
-        sq = np.sqrt(ys)
+    sq = np.sqrt(y)
+    rho = M * f.support_radius * sq
+    Mu, Mv = M * u, M * v
+    for lo, hi in _runs(y, rho):
+        xs, ys, us, vs, sqs = (a[lo:hi] for a in (x, y, u, v, sq))
         row_sample, a, point_row, b = _disc_points(
-            M * us, M * vs, xs, ys, M * R * sq)
-        t = (vs[row_sample] + a * ys[row_sample] / M) / sq[row_sample]
-        ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sq[row_sample]
+            Mu[lo:hi], Mv[lo:hi], xs, ys, rho[lo:hi])
+        # t = (v + a y / M) / sqrt(y) per row
+        t = ys[row_sample]
+        t *= a
+        t /= M
+        t += vs[row_sample]
+        t /= sqs[row_sample]
+        ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sqs[row_sample]
+        # Re zeta = (u + (a x + b) / M) / sqrt(y) per point
+        re = ax[point_row]
+        re += b
+        re /= M
+        re += u_row[point_row]
         zeta = np.empty(b.size, dtype=complex)
-        zeta.real = (u_row[point_row] + (ax[point_row] + b) / M) \
-            / sq_row[point_row]
+        np.divide(re, sq_row[point_row], out=zeta.real)
+        del re
         zeta.imag = t[point_row]
         vals = f(zeta)
         sample = row_sample[point_row]
@@ -464,10 +476,11 @@ def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
     These are the norms of the nonzero vectors of the lattice dual to the
     1/M-refined period lattice; the sum is the exact fibre average of the
     squared transform when ``h = |fhat|^2`` (up to the ``M^4`` factor).
-    Samples are summed in runs that enumerate at most 2^17 lattice points
-    by the per-sample bound ``(2 rho / y + 1)(2 rho + 1)``,
-    ``rho = R sqrt(y) / M``; a sample is never split, so one over the budget
-    runs alone.  Values do not depend on the runs.
+    Samples are summed in runs that enumerate at most
+    ``saff._POINT_BUDGET`` (2^15) lattice points by the per-sample bound
+    ``(2 rho / y + 1)(2 rho + 1)``, ``rho = R sqrt(y) / M``; a sample is
+    never split, so one over the budget runs alone.  Values do not depend
+    on the runs.
 
     Raises
     ------
@@ -480,16 +493,23 @@ def dual_norm_sum_values(h: RadialProfile, x, y, M: int) -> np.ndarray:
     y = np.asarray(y, float).ravel()
     _check_points(x=x, y=y)
     out = np.zeros(x.size, dtype=float)
-    R = h.support_radius
-    for lo, hi in _runs(y, R / M):
-        xs, ys = x[lo:hi], y[lo:hi]
-        zero = np.zeros(hi - lo)
+    sq = np.sqrt(y)
+    rho = h.support_radius * sq / M
+    zero = np.zeros(x.size)
+    for lo, hi in _runs(y, rho):
+        xs, ys, sqs = x[lo:hi], y[lo:hi], sq[lo:hi]
         row_sample, a, point_row, b = _disc_points(
-            zero, zero, xs, ys, R * np.sqrt(ys) / M)
+            zero[lo:hi], zero[lo:hi], xs, ys, rho[lo:hi])
         ax, ay2 = a * xs[row_sample], (a * ys[row_sample]) ** 2
-        sq_row = np.sqrt(ys[row_sample])
-        norm = np.sqrt((ax[point_row] + b) ** 2 + ay2[point_row])
-        vals = h(M * norm / sq_row[point_row]).real
+        # M |a tau + b| / sqrt(y) per point
+        norm = ax[point_row]
+        norm += b
+        norm *= norm
+        norm += ay2[point_row]
+        np.sqrt(norm, out=norm)
+        norm *= M
+        norm /= sqs[row_sample][point_row]
+        vals = h(norm).real
         vals[(a[point_row] == 0) & (b == 0)] = 0.0
         out[lo:hi] = np.bincount(row_sample[point_row], weights=vals,
                                  minlength=hi - lo)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from strata.cli import (
     main,
     parse_config_text,
     run_algebra,
+    run_fourier,
+    run_series,
     spectrum_table,
 )
 from strata.spectral import epsilon_sweep
@@ -55,6 +58,29 @@ def test_verify_algebra_all_checks_pass(capsys):
     assert len(checks) == 5
     assert all(c["pass"] for c in checks)
     assert report["pass"] is True
+
+
+# tracemalloc peaks at the default configuration, after a first call has
+# paid the first-use imports: measured at 8.5 MiB (series) and 9.5 MiB
+# (fourier), bounds 30 % above.  Runs of 2^17 lattice points, blocks of
+# 2^18 samples and a one-shot coefficient grid peaked at 23.9 and 32.1 MiB.
+_SUITE_PEAK_MIB = {"series": (run_series, 11.0), "fourier": (run_fourier, 12.5)}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_PEAK_MIB))
+def test_suite_memory_stays_bounded(name):
+    """The two suites that set ``strata all``'s peak RSS pass their checks
+    within a fixed traced-memory bound at the default configuration."""
+    run, bound = _SUITE_PEAK_MIB[name]
+    run(RunConfig())
+    tracemalloc.start()
+    try:
+        checks = run(RunConfig())
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in checks)
+    assert peak < bound
 
 
 def test_algebra_suite_runs_quickly():

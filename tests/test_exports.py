@@ -54,14 +54,56 @@ def test_module_imports_are_used(path):
 
 
 def _definitions(tree):
-    """Methods and module-level functions and classes, dunders excepted."""
-    found = [n.name for n in tree.body
+    """``(name, kind)`` of the methods and module-level functions and
+    classes, dunders excepted; ``kind`` is ``"module"``, ``"property"`` or
+    ``"method"``."""
+    found = [(n.name, "module") for n in tree.body
              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef))]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-        found += [n.name for n in cls.body
+        found += [(n.name, "property" if any(
+                      getattr(d, "id", None) == "property"
+                      for d in n.decorator_list) else "method")
+                  for n in cls.body
                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [n for n in found if not (n.startswith("__") and n.endswith("__"))]
+    return [(n, kind) for n, kind in found
+            if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _uses(tree, in_tests):
+    """``(names, method_uses)`` of a file: every name, import and attribute
+    it spells; and the attributes that use a plain method, meaning those
+    called as ``obj.name(...)`` and, outside ``tests/``, every attribute
+    load (a bound method passed on).  An attribute a test only reads, such
+    as numpy's ``table.base``, is no use of a method of that name."""
+    names, method_uses = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if not in_tests and isinstance(node.ctx, ast.Load):
+                method_uses.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            method_uses.add(node.func.attr)
+    return names, method_uses
+
+
+def _dead(modules, users):
+    """``label:name`` of each definition in ``modules`` (label -> tree)
+    that no file of ``users`` (``(tree, in_tests)`` pairs) uses: a plain
+    method by ``_uses``' method uses, a property or a module-level
+    definition by any spelling of its name."""
+    names, method_uses = set(), set()
+    for tree, in_tests in users:
+        n, m = _uses(tree, in_tests)
+        names |= n
+        method_uses |= m
+    return [f"{label}:{name}" for label, tree in modules.items()
+            for name, kind in _definitions(tree)
+            if name not in (method_uses if kind == "method" else names)]
 
 
 def test_no_dead_definitions():
@@ -70,20 +112,40 @@ def test_no_dead_definitions():
     ``__all__`` is not a reference), so a deleted caller cannot leave its
     callee behind, nor a public twin of a function that replaced it."""
     root = pathlib.Path(strata.__file__).parents[2]
-    referenced = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (root / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    referenced.add(node.name)
-    dead = [f"{path.name}:{name}" for path in SOURCES
-            for name in _definitions(ast.parse(path.read_text()))
-            if name not in referenced]
-    assert dead == []
+    users = [(ast.parse(path.read_text()), folder == "tests")
+             for folder in ("src", "tests", "perfbench")
+             for path in (root / folder).rglob("*.py")]
+    modules = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert _dead(modules, users) == []
+
+
+_DEFINES = """
+class Point:
+    def base(self): ...
+    def moved(self): ...
+    def scaled(self): ...
+    @property
+    def norm(self): ...
+"""
+_TEST_READS = """
+p = Point()
+table = np.fft.fft(np.ones(4))
+assert table.base is None   # numpy's attribute, not Point.base
+assert p.norm > 0           # a property is used by access
+step = p.scaled             # a method a test only reads is not used
+"""
+
+
+def test_dead_definition_guard_tells_methods_from_attributes():
+    """A test that reads an attribute spelled like a method does not keep
+    the method alive; a call anywhere, a load in the package or an access
+    of a property does."""
+    modules = {"point.py": ast.parse(_DEFINES)}
+    tests = (ast.parse(_TEST_READS), True)
+    assert _dead(modules, [tests]) == [
+        "point.py:base", "point.py:moved", "point.py:scaled"]
+    package = (ast.parse("p.moved()\nstep = p.scaled\nq.base()"), False)
+    assert _dead(modules, [tests, package]) == []
 
 
 def _call_sites(*names):

@@ -6,6 +6,7 @@ back the scalar-product identity.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from strata.fourier import (
     scalar_product_via_coeffs,
     torus_equivariance_residual,
 )
+from strata.series import beta_bump, eisenstein
 from strata.saff import (
     IwasawaCoords,
     ModularFunction,
@@ -99,6 +101,70 @@ def test_coeff_table_owns_its_data():
     table = coeff_H0_table(phi, 1.3, QuadratureSpec(8, 4, 16))
     assert table.shape == (8, 16)
     assert table.base is None
+
+
+def _table_by_fftn(phi, y, spec):
+    """The one-shot reference: ``phi`` on the whole grid, a 3D FFT, and
+    its ``r = 0`` slice."""
+    x = np.arange(spec.nx)[:, None, None] / spec.nx
+    u = np.arange(spec.nu)[None, :, None] / spec.nu
+    t = np.arange(spec.nv)[None, None, :] / spec.nv
+    shape = (spec.nx, spec.nu, spec.nv)
+    vals = phi.fn(np.broadcast_to(x, shape), np.full(shape, y),
+                  np.broadcast_to(u, shape), np.broadcast_to(y * t, shape))
+    table = np.fft.fftn(np.asarray(vals, complex))
+    return table[:, 0, :] / (spec.nx * spec.nu * spec.nv)
+
+
+def _uxv_modes():
+    """Planted modes plus terms in ``u``, so the ``u`` transform matters."""
+    phi, _ = planted_modes()
+
+    def fn(x, y, u, v):
+        return (phi.fn(x, y, u, v)
+                + np.cos(2.0 * math.pi * (3 * u + x)) / (1.0 + y)
+                + np.exp(TWO_PI_I * (u - 2 * v / y)) * np.sqrt(y))
+
+    return ModularFunction(fn, weight=2)
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 64), (8, 32, 256), (16, 16, 64),
+                                  (40, 64, 64)])
+def test_chunked_table_is_bitwise_fftn(dims, monkeypatch):
+    """The table made chunk by chunk is bitwise, as uint64, the one-shot
+    ``fftn`` table: at the default chunk (which does not divide
+    ``nx = 40``), at chunks of three x-slices and at chunks smaller than
+    one slice (one slice each), for a closed-form function and for a
+    coset series."""
+    spec = QuadratureSpec(*dims)
+    series = eisenstein(2, 1, beta_bump(0.8, 1.6), radius=40)
+    slice_points = spec.nu * spec.nv
+    for phi in (_uxv_modes(), series):
+        want = _table_by_fftn(phi, 1.1, spec).view(np.uint64)
+        for block in (1 << 16, 3 * slice_points, slice_points // 2):
+            monkeypatch.setattr("strata.saff._SAMPLE_BLOCK", block)
+            got = coeff_H0_table(phi, 1.1, spec).view(np.uint64)
+            assert np.array_equal(got, want), block
+
+
+def test_table_memory_follows_the_chunk():
+    """A 64^3 table (four chunks of 2^16 grid points) peaks where a
+    one-chunk table of 16 x-slices does, and below half the peak of the
+    one-shot reference on the whole grid: memory follows the chunk, not
+    the grid."""
+    phi = _uxv_modes()
+    peaks = []
+    for table, dims in ((coeff_H0_table, (16, 64, 64)),
+                        (coeff_H0_table, (64, 64, 64)),
+                        (_table_by_fftn, (64, 64, 64))):
+        tracemalloc.start()
+        try:
+            table(phi, 1.3, QuadratureSpec(*dims))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 0.5 * peaks[2]
 
 
 def test_relation_between_t_and_h0():

@@ -16,6 +16,7 @@ from strata.saff import (
     _RENORM_EVERY,
     _act_arrays,
     _batch_estimate,
+    _ragged,
     _sample_block,
     IwasawaCoords,
     JacobiPoint,
@@ -634,3 +635,19 @@ def test_inner_product_weight_mismatch():
     f1 = ModularFunction(lambda x, y, u, v: x + 0j, weight=1)
     with pytest.raises(ValueError):
         inner_product(f0, f1)
+
+
+def test_ragged_matches_gather_formula():
+    """The ragged expansion is the gather ``lo[owner] + (position -
+    start[owner])`` of the intervals, empty ones (``hi < lo``) included."""
+    rng = np.random.default_rng(19)
+    for size in (0, 1, 7, 500):
+        lo = rng.integers(-50, 50, size)
+        hi = lo + rng.integers(-3, 6, size)   # about a third empty
+        count = np.maximum(hi - lo + 1, 0)
+        owner = np.repeat(np.arange(size), count)
+        starts = np.cumsum(count) - count
+        want = lo[owner] + (np.arange(owner.size) - starts[owner])
+        got_owner, got = _ragged(lo, hi)
+        assert np.array_equal(got_owner, owner)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

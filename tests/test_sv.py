@@ -16,6 +16,7 @@ from strata.saff import (
     VOLUME_SL2,
     JacobiPoint,
     _act_arrays,
+    _runs,
     element_to_point,
     reduce_to_fundamental,
     ModularFunction,
@@ -25,7 +26,8 @@ from strata.saff import (
     sample_masur_veech,
     slash,
 )
-from strata.series import beta_bump, eisenstein, poincare
+from strata.series import (BetaProfile, beta_bump, beta_discrete,
+                           eisenstein, poincare)
 from strata.special import RadialProfile
 from strata.sv import (
     FundamentalBump,
@@ -951,6 +953,76 @@ def test_streamed_estimators_match_full_array_bitwise(name, monkeypatch):
         est, err = streamed(**kw)
         got = np.array([est.real, est.imag, err]).view(np.uint64)
         assert np.array_equal(got, want), block
+
+
+def _lattice_sum_cases():
+    """name -> (evaluate(), y, rho, calls): a lattice-sum evaluation, the
+    heights and disc radii of its samples (``None`` for the truncated
+    coset series, which has no disc) and, for a coset series, the list
+    its profile appends to once per run.  Each disc input ends in one
+    sample whose point bound exceeds 2^10."""
+    s = sample_masur_veech(3000, seed=5, y_max=1e3)
+    x, u, v = (np.append(a, 0.1) for a in (s.x, s.u, s.v))
+    y = np.append(s.y, 1e5)
+    gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.5)
+    rng = np.random.default_rng(8)
+    px = rng.uniform(-0.5, 0.5, 300)
+    py = np.append(np.exp(rng.uniform(math.log(0.05), math.log(3.0), 299)),
+                   2e-6)
+    pu, pv = rng.uniform(0.0, 1.0, (2, 300))
+    calls = []
+
+    def counted(beta):
+        def fn(yy):
+            calls.append(None)
+            return beta.fn(yy)
+        return BetaProfile(fn, beta.support)
+
+    bump = eisenstein(2, 1, counted(beta_bump(0.8, 1.6)), radius=10_000)
+    box = poincare(2, 1, 1, counted(beta_discrete(2, 1)), radius=4)
+    return {
+        "rel_real": (lambda: sv_rel_values(k_type_function(gauss, 0),
+                                           x, y, u, v, 2),
+                     y, 5.0 * np.sqrt(y), None),
+        "rel_complex": (lambda: sv_rel_values(k_type_function(gauss, 1),
+                                              x, y, u, v, 2),
+                        y, 5.0 * np.sqrt(y), None),
+        "dual_norm": (lambda: dual_norm_sum_values(gauss, x, y, 1),
+                      y, 2.5 * np.sqrt(y), None),
+        "series_compact": (lambda: bump.fn(px, py, pu, pv), py,
+                           (1.0 + 1e-9) / math.sqrt(0.8) * np.sqrt(py),
+                           calls),
+        "series_truncated": (lambda: box.fn(px, py, pu, pv), py, None,
+                             calls),
+    }
+
+
+@pytest.mark.parametrize("name", ["rel_real", "rel_complex", "dual_norm",
+                                  "series_compact", "series_truncated"])
+def test_lattice_sums_do_not_depend_on_runs(name, monkeypatch):
+    """Every lattice-sum evaluator is bitwise the same, as uint64, with
+    the point budget at 2^10, 2^15 and 2^17, though the runs cut the
+    samples differently at each budget; under 2^10 the last disc sample,
+    over the budget, runs alone.  A coset series, the truncated one too,
+    reads the budget when it is called: its run count follows it."""
+    evaluate, y, rho, calls = _lattice_sum_cases()[name]
+    bits, n_runs, n_calls = [], [], []
+    for budget in (1 << 10, 1 << 15, 1 << 17):
+        monkeypatch.setattr("strata.saff._POINT_BUDGET", budget)
+        bits.append(np.ascontiguousarray(evaluate()).view(np.uint64))
+        if rho is not None:
+            cut = list(_runs(y, rho))
+            assert cut[-1] == (y.size - 1, y.size) or budget > 1 << 10
+            n_runs.append(len(cut))
+        if calls is not None:
+            n_calls.append(len(calls))
+            calls.clear()
+    for counts in (n_runs, n_calls):
+        assert counts == sorted(counts, reverse=True)
+        assert counts == [] or counts[0] > counts[-1] >= 1
+    assert np.count_nonzero(bits[0]) > 0
+    for got in bits[1:]:
+        assert np.array_equal(got, bits[0])
 
 
 def test_sv_mean_mc_memory_bounded_by_block():
