@@ -11,8 +11,7 @@ Subcommands
     Eigenvalue table of the per-mode operator across a list of ``eps``
     values, with refinement deltas (CSV by default).
 ``all``
-    Run every verification suite; the ``STRATA_THREADS`` environment
-    variable caps the worker count.
+    Run every verification suite, one after another.
 
 Configuration is a flat ``key = value`` text file (``--config``) with
 flag overrides on top.  Reports use schema ``report_v1``; an identical
@@ -27,9 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -52,7 +49,8 @@ from .saff import (
     _act_arrays,
     inner_product,
 )
-from .series import beta_bump, beta_norm_sq, eisenstein
+from .series import (BetaProfile, beta_bump, beta_norm_sq, eisenstein,
+                     seed as series_seed)
 from .spectral import ModeGrid, refinement_deltas
 from .sv import (
     PlaneFunction,
@@ -99,7 +97,7 @@ class RunConfig:
         names = [s for s in self.suites.split(",") if s]
         for s in names:
             if s not in SUITES:
-                raise ValueError(f"unknown suite {s!r}")
+                raise ValueError(f"suites: unknown suite {s!r}")
         return names
 
     def quad_spec(self) -> QuadratureSpec:
@@ -174,19 +172,11 @@ def run_algebra(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _character(n: int, m: int) -> ModularFunction:
-    def fn(x, y, u, v):
-        return np.exp(2j * math.pi * (n * np.asarray(x, float)
-                                      + m * np.asarray(v, float)
-                                      / np.asarray(y, float)))
-    return ModularFunction(fn, weight=0)
-
-
 def run_operators(cfg: RunConfig) -> list[dict]:
     checks = []
     pts = (0.2, 1.3, 0.3, 0.5)
     for (n, m) in [(1, 1), (2, 1), (1, -3)]:
-        ch = _character(n, m)
+        ch = series_seed(0, n, m, BetaProfile(np.ones_like))
         got = -total(ch).fn(*pts) / ch.fn(*pts)
         want = 4.0 * math.pi ** 3 * n * m ** 2
         checks.append(_check(
@@ -309,12 +299,7 @@ def run_fourier(cfg: RunConfig) -> list[dict]:
         "torus and Heisenberg coefficient systems agree", 0.0,
         float(resid), resid < 1e-8)]
 
-    def gfn(x, y, u, v):
-        return (np.exp(2j * math.pi * (2.0 * np.asarray(x, float)
-                                       + np.asarray(v, float)
-                                       / np.asarray(y, float)))
-                / (1.0 + np.asarray(y, float)))
-    g = ModularFunction(gfn, weight=0)
+    g = series_seed(0, 2, 1, BetaProfile(lambda y: 1.0 / (1.0 + y)))
     y0 = 1.3
     c = coeff_H0(g, 2, 1, y0, QuadratureSpec(16, 16, 64))
     want = 1.0 / (1.0 + y0)
@@ -350,41 +335,12 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _thread_cap() -> int:
-    """Worker cap from ``STRATA_THREADS``; unset or empty means serial.
-
-    Raises
-    ------
-    ValueError
-        If the variable is set to something other than an integer.
-    """
-    raw = os.environ.get("STRATA_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"STRATA_THREADS must be an integer, got {raw!r}") from None
-
-
-def run_suites(cfg: RunConfig, names: list[str], max_workers: int = 1
-               ) -> dict:
-    results: dict[str, list[dict]] = {}
-    if max_workers == 1 or len(names) == 1:
-        for name in names:
-            results[name] = _RUNNERS[name](cfg)
-    else:
-        with ThreadPoolExecutor(min(max_workers, len(names))) as pool:
-            futures = {name: pool.submit(_RUNNERS[name], cfg)
-                       for name in names}
-            for name in names:
-                results[name] = futures[name].result()
-    suites = {
-        name: {"checks": results[name],
-               "pass": all(c["pass"] for c in results[name])}
-        for name in names
-    }
+def run_suites(cfg: RunConfig, names: list[str]) -> dict:
+    suites = {}
+    for name in names:
+        checks = _RUNNERS[name](cfg)
+        suites[name] = {"checks": checks,
+                        "pass": all(c["pass"] for c in checks)}
     return {
         "schema": "report_v1",
         "config": cfg.as_dict(),
@@ -486,8 +442,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     Raises
     ------
     ValueError
-        If the file does not parse, or ``samples`` is below the suites'
-        batch count, ``M < 1`` or ``r_lattice`` is not positive and finite.
+        If the file does not parse, or a value cannot run (``samples``
+        below the batch count, ``M`` or ``r_coset`` below 1, ``r_lattice``
+        not positive and finite, unknown ``suites``, unusable ``grid_*`` or
+        ``quad_*``); the message names the key.
     OSError
         If the file cannot be read.
     """
@@ -507,9 +465,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                          f"suites' batch count, got {cfg.samples}")
     if cfg.M < 1:
         raise ValueError(f"M must be at least 1, got {cfg.M}")
+    if cfg.r_coset < 1:
+        raise ValueError(f"r_coset must be at least 1, got {cfg.r_coset}")
     if not 0.0 < cfg.r_lattice < math.inf:
         raise ValueError(
             f"r_lattice must be positive and finite, got {cfg.r_lattice}")
+    cfg.suite_list()   # raises for an unknown suite name
+    try:
+        cfg.mode_grid()
+    except ValueError as exc:
+        raise ValueError(f"grid_ymin, grid_ymax, grid_n = {cfg.grid_ymin}, "
+                         f"{cfg.grid_ymax}, {cfg.grid_n}: {exc}") from None
+    try:
+        cfg.quad_spec().check_mode(n=0, m=1)
+    except ValueError as exc:
+        raise ValueError(f"quad_nx, quad_nu, quad_nv = {cfg.quad_nx}, "
+                         f"{cfg.quad_nu}, {cfg.quad_nv}: {exc}, which the "
+                         "sv suite's coefficient needs") from None
     return cfg
 
 
@@ -529,7 +501,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        max_workers = _thread_cap()
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -556,7 +527,7 @@ def main(argv=None) -> int:
     else:
         names = cfg.suite_list()
 
-    report = run_suites(cfg, names, max_workers)
+    report = run_suites(cfg, names)
     if args.command == "sv-verify":
         lines = "".join(json.dumps(c, sort_keys=True) + "\n"
                         for c in report["suites"]["sv"]["checks"])

@@ -208,9 +208,12 @@ def scalar_product_via_coeffs(phi1: ModularFunction, phi2: ModularFunction,
     Approximates ``sum_{|n| <= n_max, |m| <= m_max} int cH0(phi1; n, m; y)
     conj(cH0(phi2; n, m; y)) dy / y^(2-k)`` by Gauss-Legendre quadrature in
     log y on ``(y_min, y_max)``.  One coefficient table per quadrature node.
+    Raises ``ValueError`` if the weights differ, or if ``n_max >= nx / 2``
+    or ``m_max >= nv / 2``, where aliased modes would be counted twice.
     """
     if phi1.weight != phi2.weight:
         raise ValueError("weights must match")
+    spec.check_mode(n=n_max, m=m_max)
     k = phi1.weight
     ss, ww = _gl_nodes(math.log(y_min), math.log(y_max), n_y)
     total = 0.0 + 0.0j
@@ -234,8 +237,10 @@ def is_cusp_form(phi: ModularFunction, y_grid: Sequence[float],
     """Check vanishing of the degenerate row ``cH0(0, m; y)``.
 
     Returns ``(flag, worst)`` where ``worst`` is the largest coefficient
-    magnitude found over ``|m| <= m_max`` and the supplied heights.
+    magnitude found over ``|m| <= m_max`` and the supplied heights; raises
+    ``ValueError`` if ``m_max >= nv / 2``, where modes alias.
     """
+    spec.check_mode(m=m_max)
     worst = 0.0
     for y in y_grid:
         table = coeff_H0_table(phi, float(y), spec)

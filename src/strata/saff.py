@@ -550,7 +550,7 @@ def _disc_points(c_re, c_im, x, y, rho):
 # float64 point array).  Against 2^17, the coefficient tables of the
 # benchmark page-fault about twelve times less (sweep in CHANGES.md).
 _POINT_BUDGET = 1 << 15
-# Samples one block of a Monte-Carlo estimate may hold, in whole batches
+# Values one block of a Monte-Carlo estimate may hold, in whole batches
 # (a batch larger than this is a block of its own).  With runs of 2^15
 # points, blocks of 2^16 samples took the peak RSS of ``strata all`` from
 # about 122 to 94 MB; blocks of 2^15 saved 3 MB more but made the
@@ -683,22 +683,22 @@ def _batch_stats(batches: np.ndarray):
 
 
 def _batch_estimate(block_values: Callable[[int, int], np.ndarray],
-                    n_samples: int, n_batches: int):
+                    n_samples: int, n_batches: int, width: int = 1):
     """Batch-means estimate and standard error over the leading (sample)
     axis, with the samples taken one block at a time.
 
-    ``block_values(lo, hi)`` returns the values of samples ``[lo, hi)``.
-    The ``n_batches`` batches of ``n_samples // n_batches`` samples are
-    asked for in blocks of whole batches, at most ``_SAMPLE_BLOCK``
-    samples each (a larger batch is a block alone), and only each block's
-    batch means are kept, so memory is bounded by the block and not by
-    ``n_samples``.  The remainder past the last batch is never asked for.
-    A batch mean does not depend on the blocks.  Returns two arrays of
-    the values' trailing shape; raises ``ValueError`` as
-    :func:`_batch_size`, before any block is asked for.
+    ``block_values(lo, hi)`` returns the values of samples ``[lo, hi)``,
+    ``width`` values per sample.  The ``n_batches`` batches of
+    ``n_samples // n_batches`` samples are asked for in blocks of whole
+    batches, at most ``_SAMPLE_BLOCK`` values each (a larger batch is a
+    block alone), and only each block's batch means are kept, so memory
+    is bounded by the block and not by ``n_samples``.  The remainder past
+    the last batch is never asked for.  A batch mean does not depend on
+    the blocks.  Returns two arrays of the values' trailing shape; raises
+    ``ValueError`` as :func:`_batch_size`, before any block is asked for.
     """
     size = _batch_size(n_samples, n_batches)
-    step = max(_SAMPLE_BLOCK // size, 1) * size
+    step = max(_SAMPLE_BLOCK // (size * width), 1) * size
     end = size * n_batches
     means = []
     for lo in range(0, end, step):

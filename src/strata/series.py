@@ -218,15 +218,6 @@ def _completions(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _completion(c: int, d: int) -> tuple[int, int]:
-    """Canonical ``(a, b)`` of one pair, as :func:`_completions`; raises
-    ``ValueError`` if ``(c, d)`` is not coprime."""
-    if math.gcd(c, d) != 1:
-        raise ValueError(f"pair ({c}, {d}) is not coprime")
-    a, b = _completions(np.array([c]), np.array([d]))
-    return int(a[0]), int(b[0])
-
-
 def coset_list(radius: int) -> list[tuple[int, int, int, int]]:
     """Cosets of the horocycle subgroup as tuples ``(c, d, a, b)``.
 

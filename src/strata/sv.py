@@ -53,7 +53,6 @@ from .saff import (
     _act_entries,
     _batch_estimate,
     _batch_size,
-    _batch_stats,
     _check_points,
     _check_y_max,
     _disc_points,
@@ -64,7 +63,6 @@ from .saff import (
     element_to_point,
     reduce_arrays,
     reduce_to_fundamental,
-    sample_masur_veech,
 )
 from .special import (RadialProfile, _as_values, _gl_nodes, _uniform_spline,
                       hankel_transform)
@@ -616,16 +614,21 @@ class FundamentalBump:
         return float(self.formula(red.x, red.y, red.p, red.q))
 
 
-def _stabilizer_cosets(n_samples: int, seed: int, y_max: float):
+def _stabilizer_cosets(n_samples: int, seed: int, y_max: float, lo: int,
+                       hi: int):
     """Random elements of the conjugated-base fundamental domain.
 
     Returns SL2 elements ``g`` with base point Haar-distributed and a
     uniform frame angle; the stabilizer coset of a plane row ``p`` is then
-    ``(g, p - (1,0) g)``.
+    ``(g, p - (1,0) g)``.  Draws samples ``[lo, hi)`` of ``n_samples``,
+    bitwise the slice of the full draw: base points by
+    ``saff._sample_block``, angles from ``PCG64(seed + 1)`` advanced to
+    ``lo``.  Raises ``ValueError`` unless ``y_max > 1``.
     """
-    s = sample_masur_veech(n_samples, seed, y_max=y_max)
-    rng = np.random.default_rng(seed + 1)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    s = _sample_block(n_samples, seed, y_max, lo, hi)
+    bitgen = np.random.PCG64(seed + 1)
+    bitgen.advance(lo)
+    theta = np.random.Generator(bitgen).uniform(0.0, 2.0 * math.pi, hi - lo)
     g = element_from_iwasawa(IwasawaCoords(s.x, s.y, 0.0, 0.0, theta)).g
     return g.a, g.b, g.c, g.d
 
@@ -644,20 +647,23 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
     """Formal adjoint at plane rows: MC average of ``h`` over the
     stabilizer coset of each row, times the base mass ``pi/3``.
 
-    ``p_rows`` has shape (n, 2).  Returns ``(values, stderrs)``; raises
-    ``ValueError`` for bad rows, batches or ``y_max`` before calling ``h``.
+    ``p_rows`` has shape (n, 2); the cosets are drawn and ``h`` is called
+    one block at a time (``saff._batch_estimate``).  Returns
+    ``(values, stderrs)``; raises ``ValueError`` for bad rows, batches or
+    ``y_max`` before calling ``h``.
     """
     p_rows = _plane_rows(p_rows)
-    _batch_size(n_samples, n_batches)
-    a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
-    vals = np.empty((n_samples, p_rows.shape[0]), dtype=complex)
-    for i in range(n_samples):
-        g = SL2Element(a[i], b[i], c[i], d[i])
-        for j, p in enumerate(p_rows):
-            e = SAffElement(g, (p[0] - a[i], p[1] - b[i]))
-            vals[i, j] = h(e)
-    est, err = _batch_estimate(lambda lo, hi: vals[lo:hi], n_samples,
-                               n_batches)
+
+    def values(lo, hi):
+        a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max, lo, hi)
+        vals = np.empty((hi - lo, p_rows.shape[0]), dtype=complex)
+        for i in range(hi - lo):
+            g = SL2Element(a[i], b[i], c[i], d[i])
+            for j, p in enumerate(p_rows):
+                vals[i, j] = h(SAffElement(g, (p[0] - a[i], p[1] - b[i])))
+        return vals
+
+    est, err = _batch_estimate(values, n_samples, n_batches, p_rows.shape[0])
     return VOLUME_SL2 * est, VOLUME_SL2 * err
 
 
@@ -667,38 +673,34 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
     """Fast adjoint of a :class:`FundamentalBump`.
 
     Exploits that the base part of the coset element does not depend on
-    the plane row: the base points are reduced together by
+    the plane row: the base points of a block are reduced together by
     :func:`~strata.saff.reduce_arrays`, and the fibre coordinates then
     follow from the NAK chart for all rows at once.  The work runs one
-    batch-means block at a time (``n_samples // n_batches`` samples by
-    all rows), so at most one block of fibre values is held.  Returns
+    block of whole batches at a time (``saff._batch_estimate``), so at
+    most one block of fibre values is held.  Returns
     ``(values, stderrs)`` and raises as :func:`sv_adjoint`.
     """
     p_rows = _plane_rows(p_rows)
-    size = _batch_size(n_samples, n_batches)
-    # one sample per row, against the plane rows along the columns
-    a, b, c, d = (t[:size * n_batches, None]
-                  for t in _stabilizer_cosets(n_samples, seed, y_max))
-    # the base point of (g, w) depends on g alone
-    base, _ = element_to_point(SAffElement(SL2Element(a, b, c, d), (0.0, 0.0)))
-    (x_r, y_r, _, _), gamma = reduce_arrays(base.x, base.y, 0.0, 0.0)
-    batches = np.empty((n_batches, p_rows.shape[0]))
-    for k in range(n_batches):
-        blk = slice(k * size, (k + 1) * size)
-        # the point of each coset (g, p - (1, 0) g), then moved by gamma
+
+    def values(lo, hi):
+        # one sample per row, against the plane rows along the columns
+        a, b, c, d = (t[:, None] for t in
+                      _stabilizer_cosets(n_samples, seed, y_max, lo, hi))
+        # the point of each coset (g, p - (1, 0) g); its base point depends
+        # on g alone (one per sample), so it is reduced once for all rows
         pt, _ = element_to_point(SAffElement(
-            SL2Element(a[blk], b[blk], c[blk], d[blk]),
-            (p_rows[:, 0] - a[blk], p_rows[:, 1] - b[blk])))
-        _, _, u, v, _ = _act_entries(*(g[blk] for g in gamma), pt.x, pt.y,
-                                     pt.u, pt.v)
+            SL2Element(a, b, c, d), (p_rows[:, 0] - a, p_rows[:, 1] - b)))
+        (x_r, y_r, _, _), gamma = reduce_arrays(pt.x, pt.y, 0.0, 0.0)
+        _, _, u, v, _ = _act_entries(*gamma, pt.x, pt.y, pt.u, pt.v)
         del pt   # block-sized arrays go as soon as they are used
-        p = v / y_r[blk]
-        q = u - v * x_r[blk] / y_r[blk]
+        p = v / y_r
+        q = u - v * x_r / y_r
         del u, v
         p -= np.floor(p)
         q -= np.floor(q)
-        batches[k] = hb.formula(x_r[blk], y_r[blk], p, q).mean(axis=0)
-    est, err = _batch_stats(batches)
+        return hb.formula(x_r, y_r, p, q)
+
+    est, err = _batch_estimate(values, n_samples, n_batches, p_rows.shape[0])
     return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
 
 

@@ -145,13 +145,6 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_non_integer_thread_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("STRATA_THREADS", "abc")
-    assert main(["verify", "algebra"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "STRATA_THREADS" in err
-
-
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonsense"]) == 2
     capsys.readouterr()
@@ -162,14 +155,16 @@ def test_bad_eps_list_exits_2(capsys):
     capsys.readouterr()
 
 
-def _config_error(argv, capsys, tmp_path, key, value):
+def _config_error(argv, capsys, tmp_path, key, value, flag=True):
     """Exit code and stderr of ``argv`` with ``key = value``, once set in a
-    config file and once as a flag."""
+    config file and, for a key with a flag, once as a flag."""
     path = tmp_path / "bad.cfg"
     path.write_text(f"{key} = {value}\n")
-    flag = "--" + key.replace("_", "-")
+    runs = [["--config", str(path)]]
+    if flag:
+        runs.append(["--" + key.replace("_", "-"), str(value)])
     out = []
-    for extra in (["--config", str(path)], [flag, str(value)]):
+    for extra in runs:
         code = main(argv + extra)
         out.append((code, capsys.readouterr().err))
     return out
@@ -201,11 +196,29 @@ def test_nonpositive_r_lattice_exits_2(r_lattice, capsys, tmp_path):
         assert err.count("\n") == 1 and "r_lattice" in err
 
 
-def test_default_report_matches_golden(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, key, value, flag", [
+    (["spectrum"], "grid_n", 8, False),
+    (["spectrum"], "grid_ymin", 60, False),
+    (["all"], "grid_ymax", "nan", False),
+    (["verify", "sv"], "quad_nx", 1, False),
+    (["verify", "sv"], "quad_nv", 3, False),
+    (["verify", "series"], "r_coset", 0, True),
+    (["all"], "suites", "algebra,nope", False),
+])
+def test_unusable_config_value_exits_2(argv, key, value, flag, capsys,
+                                       tmp_path):
+    """A grid, quadrature, coset radius or suite list that the run cannot
+    use is one stderr line naming its key, before any suite runs."""
+    for code, err in _config_error(argv, capsys, tmp_path, key, value,
+                                   flag):
+        assert code == 2
+        assert err.count("\n") == 1 and key in err
+
+
+def test_default_report_matches_golden(capsys):
     """``strata all`` at its default configuration writes the committed
     report byte for byte.  A deliberate change to the last bits of a value
     regenerates ``tests/data/report_all_default.json``."""
-    monkeypatch.delenv("STRATA_THREADS", raising=False)
     assert main(["all"]) == 0
     golden = Path(__file__).parent / "data" / "report_all_default.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
@@ -236,8 +249,7 @@ def test_report_determinism(capsys):
     assert first == second
 
 
-def test_all_with_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv("STRATA_THREADS", "2")
+def test_all_with_fewer_samples(capsys):
     code = main(["all", "--samples", "20000"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0

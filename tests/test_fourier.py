@@ -187,6 +187,28 @@ def test_relation_rejects_aliasing_grid():
                                   QuadratureSpec(18, 64, 64)) < 1e-10
 
 
+def test_coefficient_sums_reject_aliasing_band():
+    """The scalar product and the cusp check read a band of the H0 table;
+    a band reaching half the grid counts aliased modes twice."""
+    wave = ModularFunction(
+        lambda x, y, u, v: np.cos(8.0 * math.pi * x) + 0.0 * y, weight=1)
+    # on eight x nodes the modes 4 and -4 share one table entry
+    with pytest.raises(ValueError, match="out of band"):
+        scalar_product_via_coeffs(wave, wave, n_max=4, m_max=3, y_min=1.0,
+                                  y_max=math.e, spec=QuadratureSpec(8, 8, 8))
+    with pytest.raises(ValueError, match="out of band"):
+        scalar_product_via_coeffs(wave, wave, n_max=3, m_max=4,
+                                  spec=QuadratureSpec(64, 64, 8))
+    # |c_4|^2 + |c_-4|^2 = 1/2, against the measure dy / y on (1, e)
+    got = scalar_product_via_coeffs(wave, wave, n_max=4, m_max=3, y_min=1.0,
+                                    y_max=math.e, spec=QuadratureSpec(10, 8, 8))
+    assert abs(got - 0.5) < 1e-12
+    with pytest.raises(ValueError, match="out of band"):
+        is_cusp_form(wave, y_grid=[1.0], m_max=4, spec=QuadratureSpec(8, 8, 8))
+    assert is_cusp_form(wave, y_grid=[1.0], m_max=3,
+                        spec=QuadratureSpec(8, 8, 8))[0]
+
+
 def test_coeff_T_checks_the_torus_axes():
     # the torus table is (nx, nu): m runs along nx and r along nu, whatever nv
     tau = 0.2 + 0.9j

@@ -14,9 +14,11 @@ from strata.enveloping import casimir_saff, casimir_sl2, euclidean_rep
 from strata.fourier import QuadratureSpec, coeff_H0, coeff_H0_table
 from strata.saff import (
     VOLUME_SL2,
+    IwasawaCoords,
     JacobiPoint,
     _act_arrays,
     _runs,
+    element_from_iwasawa,
     element_to_point,
     reduce_to_fundamental,
     ModularFunction,
@@ -704,7 +706,7 @@ def _adjoint_of_bump_loop(hb, p_rows, n_samples, seed, n_batches=20,
     reduced alone by ``reduce_to_fundamental`` and the bump is evaluated
     for all rows of one sample at a time, into the full sample table."""
     p_rows = np.atleast_2d(np.asarray(p_rows, float))
-    a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max)
+    a, b, c, d = _stabilizer_cosets(n_samples, seed, y_max, 0, n_samples)
     vals = np.empty((n_samples, p_rows.shape[0]))
     for i in range(n_samples):
         g = SL2Element(a[i], b[i], c[i], d[i])
@@ -724,6 +726,23 @@ def _adjoint_of_bump_loop(hb, p_rows, n_samples, seed, n_batches=20,
         vals[i] = hb.formula(red_base.x, y_r, p, q)
     est, err = _full_batch_stats(vals, n_batches)
     return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err
+
+
+@pytest.mark.parametrize("n, lo, hi", [(1_000, 0, 1_000), (1_000, 0, 1),
+                                        (1_000, 313, 777), (1_000, 999, 1_000),
+                                        (2, 1, 2)])
+def test_stabilizer_coset_block_is_its_slice(n, lo, hi):
+    """A block of cosets drawn alone is bitwise its slice of the full draw,
+    and the full draw is the one made from a whole Masur--Veech sample and
+    ``default_rng(seed + 1)`` angles."""
+    seed, y_max = 23, 1e3
+    s = sample_masur_veech(n, seed, y_max)
+    theta = np.random.default_rng(seed + 1).uniform(0.0, 2.0 * math.pi, n)
+    g = element_from_iwasawa(IwasawaCoords(s.x, s.y, 0.0, 0.0, theta)).g
+    got = _stabilizer_cosets(n, seed, y_max, lo, hi)
+    for entry, full in zip(got, (g.a, g.b, g.c, g.d)):
+        assert np.array_equal(entry.view(np.uint64),
+                              full[lo:hi].view(np.uint64))
 
 
 def _a11_rows(R=2.5, n_r=24, nth=8):
@@ -781,6 +800,26 @@ def test_sv_adjoint_of_bump_holds_one_block():
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_sv_adjoint_holds_one_block(monkeypatch):
+    """The generic adjoint draws its cosets and calls ``h`` one block of
+    whole batches at a time: with blocks of 4000 values, one batch of 100
+    samples by 40 rows, ten times the samples (and batches) leave its peak
+    memory nearly where it was; the full sample-by-row table of values
+    would multiply it by ten."""
+    monkeypatch.setattr("strata.saff._SAMPLE_BLOCK", 4000)
+    rows = _a11_rows()[:40]
+    peaks = []
+    for n_samples, n_batches in ((200, 2), (2_000, 20)):
+        tracemalloc.start()
+        try:
+            sv_adjoint(lambda e: 1.0, rows, n_samples=n_samples, seed=17,
+                       n_batches=n_batches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_sv_adjoint_rejects_unformable_batches():
     hb = FundamentalBump()
     rows = np.array([[0.6, 0.3]])
@@ -797,8 +836,7 @@ def test_batch_estimators_fail_before_sampling(monkeypatch):
     Hankel work: the sampler, the coset sampler and the Hankel transform
     are replaced by spies that record each call."""
     calls = []
-    for target in ("strata.sv.sample_masur_veech",
-                   "strata.saff.sample_masur_veech",
+    for target in ("strata.saff.sample_masur_veech",
                    "strata.sv._sample_block",
                    "strata.saff._sample_block",
                    "strata.sv._stabilizer_cosets",
