@@ -95,6 +95,8 @@ class RunConfig:
 
     def suite_list(self) -> list[str]:
         names = [s for s in self.suites.split(",") if s]
+        if not names:
+            raise ValueError("suites: the list is empty, no check would run")
         for s in names:
             if s not in SUITES:
                 raise ValueError(f"suites: unknown suite {s!r}")
@@ -444,8 +446,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ValueError
         If the file does not parse, or a value cannot run (``samples``
         below the batch count, ``M`` or ``r_coset`` below 1, ``r_lattice``
-        not positive and finite, unknown ``suites``, unusable ``grid_*`` or
-        ``quad_*``); the message names the key.
+        not positive and finite, empty or unknown ``suites``, unusable
+        ``grid_*`` or ``quad_*``); the message names the key.
     OSError
         If the file cannot be read.
     """
@@ -470,7 +472,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not 0.0 < cfg.r_lattice < math.inf:
         raise ValueError(
             f"r_lattice must be positive and finite, got {cfg.r_lattice}")
-    cfg.suite_list()   # raises for an unknown suite name
+    cfg.suite_list()   # raises for an empty list or an unknown suite name
     try:
         cfg.mode_grid()
     except ValueError as exc:

@@ -204,6 +204,7 @@ def test_nonpositive_r_lattice_exits_2(r_lattice, capsys, tmp_path):
     (["verify", "sv"], "quad_nv", 3, False),
     (["verify", "series"], "r_coset", 0, True),
     (["all"], "suites", "algebra,nope", False),
+    (["all"], "suites", "", False),
 ])
 def test_unusable_config_value_exits_2(argv, key, value, flag, capsys,
                                        tmp_path):

@@ -6,11 +6,12 @@ so a deleted caller cannot leave a dead definition; Gauss-Legendre nodes,
 stencil derivatives and the NAK chart's angle each come from one place, so
 a second copy of the interval map, of the operator loop or of the chart
 cannot creep back; and importing the
-CLI, then building a radial Fourier spline and evaluating a lattice sum,
-loads neither ``scipy.interpolate``, ``scipy.integrate``,
+CLI, then building a radial Fourier spline, evaluating a lattice sum and
+a seed norm, loads neither ``scipy.interpolate``, ``scipy.integrate``,
 ``scipy.optimize``, ``scipy.sparse`` nor ``mpmath``, so a module-level
 import of a module that only one function needs cannot creep back into
-every process's start-up."""
+every process's start-up; nor does a whole ``strata all`` run load
+``scipy.integrate``."""
 
 import ast
 import importlib
@@ -191,20 +192,43 @@ gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.0)
 radial_fourier(gauss, 1.0, 9)
 plane = PlaneFunction(lambda z: np.exp(-np.abs(z) ** 2), 2.0)
 sv_rel_values(plane, [0.1], [1.1], [0.2], [0.3], 1)
+print(beta_norm_sq(beta_bump(0.7, 1.7), 2, 0.7, 1.7) > 0.0)
 print(sorted(m for m in ("scipy.interpolate", "scipy.integrate",
                          "scipy.optimize", "scipy.sparse", "mpmath")
              if m in sys.modules))
-print(beta_norm_sq(beta_bump(0.7, 1.7), 2, 0.7, 1.7) > 0.0)
+"""
+
+_RUN_ALL = """
+import os
+import sys
+
+from strata.cli import main
+
+print(main(["all", "--samples", "20000", "--out", os.devnull]))
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize",
+                         "scipy.sparse", "scipy.spatial")
+             if m in sys.modules))
 """
 
 
-def test_start_up_leaves_first_use_modules_unloaded():
-    """In a fresh interpreter, importing the CLI, one ``radial_fourier``
-    and one ``sv_rel_values`` call load none of the modules that only
-    fallbacks or single functions use; ``beta_norm_sq`` then loads
-    ``scipy.integrate`` on its own and still works."""
+def _fresh_stdout(script):
+    """The stdout lines of ``script`` run in a fresh interpreter."""
     src = pathlib.Path(strata.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    return proc.stdout.split("\n")
+
+
+def test_start_up_leaves_first_use_modules_unloaded():
+    """In a fresh interpreter, importing the CLI, one ``radial_fourier``,
+    one ``sv_rel_values`` and one ``beta_norm_sq`` call load none of the
+    modules that only fallbacks or single functions use."""
+    assert _fresh_stdout(_LAZY_IMPORTS)[:2] == ["True", "[]"]
+
+
+def test_run_all_loads_no_scipy_integrate():
+    """A whole ``strata all`` run in a fresh interpreter loads neither
+    ``scipy.integrate`` nor the subpackages that its import pulls in
+    (``scipy.optimize``, ``scipy.sparse``, ``scipy.spatial``)."""
+    assert _fresh_stdout(_RUN_ALL)[:2] == ["0", "[]"]

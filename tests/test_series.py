@@ -20,6 +20,7 @@ Oracles
 import math
 from math import gcd
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,11 +433,64 @@ def test_bump_profile_support_and_norm():
     assert abs(beta(1.2) - math.exp(-1.0)) < 1e-14
     with pytest.raises(ValueError):
         beta_bump(1.6, 0.8)
-    # adaptive quadrature against a dense trapezoid oracle
+    # the Gauss-Legendre seed norm against a dense trapezoid oracle
     want = beta_norm_sq(beta, 2, 0.7, 1.7)
     yy = np.linspace(0.7, 1.7, 20001)
     oracle = np.trapezoid(np.abs(beta(yy)) ** 2 * yy ** 0, yy)
     assert abs(want - oracle) / oracle < 1e-8
+
+
+def _mp_bump_sq(y0, y1):
+    """``beta_bump(y0, y1)**2`` in mpmath arithmetic."""
+    mid, half = (mpmath.mpf(y0) + y1) / 2, (mpmath.mpf(y1) - y0) / 2
+
+    def fn(y):
+        t = (y - mid) / half
+        return mpmath.exp(-2 / (1 - t * t)) if abs(t) < 1 else mpmath.mpf(0)
+    return fn
+
+
+@pytest.mark.parametrize("beta, mp_sq, k, lo, hi", [
+    pytest.param(beta_bump(0.8, 1.6), _mp_bump_sq(0.8, 1.6), k, 0.7, 1.7,
+                 id=f"bump-k{k}") for k in (0, 2, 4)] + [
+    pytest.param(beta_discrete(2, 1),
+                 lambda y: mpmath.exp(-4 * mpmath.pi * y), 2, 0.5, 3.0,
+                 id="discrete-unsupported"),
+])
+def test_seed_norm_matches_mpmath_oracle(beta, mp_sq, k, lo, hi):
+    """The doubling Gauss-Legendre rule against 30-digit ``mpmath.quad``
+    (at ``k = 0`` ``scipy.integrate.quad`` with ``epsrel=1e-13`` is itself
+    7.7e-12 off)."""
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda y: mp_sq(y) * y ** (k - 2),
+                                mpmath.linspace(lo, hi, 6)))
+    assert abs(beta_norm_sq(beta, k, lo, hi) - ref) <= 1e-12 * ref
+
+
+def test_seed_norm_cuts_to_the_support():
+    beta = beta_bump(0.8, 1.6)
+    assert beta_norm_sq(beta, 2, 0.7, 1.7) == beta_norm_sq(beta, 2, 0.8, 1.6)
+    assert beta_norm_sq(beta, 2, 2.0, 3.0) == 0.0
+    assert beta_norm_sq(beta, 2, 0.1, 0.8) == 0.0
+
+
+@pytest.mark.parametrize("beta, lo, hi", [
+    (beta_bump(0.8, 1.6), 1.7, 0.7),
+    (beta_bump(0.8, 1.6), 1.0, 1.0),
+    (beta_bump(0.8, 1.6), math.nan, 1.7),
+    (beta_discrete(2, 1), 0.5, math.inf),
+    (BetaProfile(lambda y: np.where(y < 1.2, 1.0, math.nan)), 0.8, 1.6),
+])
+def test_seed_norm_rejects_what_it_cannot_integrate(beta, lo, hi):
+    with pytest.raises(ValueError):
+        beta_norm_sq(beta, 2, lo, hi)
+
+
+def test_seed_norm_raises_on_an_interior_jump():
+    # off the midpoint: a jump there is integrated exactly by symmetry
+    jump = BetaProfile(lambda y: np.where(y < 1.3, 1.0, 2.0), (0.8, 1.6))
+    with pytest.raises(RuntimeError, match="4096 nodes"):
+        beta_norm_sq(jump, 2, 0.8, 1.6)
 
 
 def test_profile_values_keep_their_kind():
