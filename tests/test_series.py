@@ -12,6 +12,7 @@ Oracles
   profiles);
 * the series norm computed two ways (Monte Carlo pairing on the quotient
   versus the one-dimensional profile integral);
+* the seed norm's Gauss-Legendre rule against 30-digit ``mpmath.quad``;
 * wave-packet norms against closed-form Plancherel constants;
 * the completed classical series summed directly versus its Fourier-Bessel
   expansion, and the expansion's symmetry under ``s -> 1 - s``.
