@@ -1,13 +1,14 @@
 """Paired benchmark runs of a base commit against this checkout.
 
     python3 bench/pair.py --base REV --out BENCH_<n>.json
-        [--pairs 10] [--first-seed 1000] [--workload NAME ...]
 
 Exports ``REV`` with ``git archive`` into a temporary directory (removed
-afterwards) and runs each tree's own, unchanged ``perfbench/run.py`` on the
-same seeds: pair ``i`` uses seed ``first_seed + i`` on both sides, and the
-side that runs first alternates from pair to pair, so a bias from run order
-shows in the medians split by order.  The change side is the working tree
+afterwards) and runs each tree's own, unchanged ``perfbench/run.py`` on
+every workload of ``BENCHMARK.json`` for ``PAIRS`` pairs: pair ``i`` uses
+seed ``FIRST_SEED + i`` on both sides, and the side that runs first
+alternates from pair to pair, so a bias from run order shows in the medians
+split by order.  The count and the seeds are fixed, so every BENCH file
+compares the same runs.  The change side is the working tree
 of this checkout; ``head`` and ``dirty`` in the output say what it held.
 
 The output holds the machine, the versions, both commits and every run.  For
@@ -36,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+PAIRS = 10
+FIRST_SEED = 1000
 
 
 def _git(*args: str) -> str:
@@ -47,8 +50,10 @@ def _export(rev: str, dest: Path) -> None:
     """Unpack the committed tree of ``rev`` into ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                          capture_output=True, check=True).stdout
+    # the extraction filter exists from Python 3.10.12 and 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
+        tf.extractall(dest, **safe)
 
 
 def _versions() -> dict:
@@ -110,13 +115,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare")
     p.add_argument("--out", required=True, help="BENCH file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1000)
-    p.add_argument("--workload", action="append",
-                   help="workload to run (repeatable; default: all)")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     record = {
         "base": _git("rev-parse", args.base),
@@ -126,14 +126,14 @@ def main(argv=None) -> int:
                     "machine": platform.machine(), "cpus": os.cpu_count()},
         "versions": _versions(),
         "run_seconds": seconds,
-        "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "seeds": [FIRST_SEED + i for i in range(PAIRS)],
         "workloads": {},
     }
     out = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         _export(record["base"], Path(tmp))
         trees = {"base": Path(tmp), "change": ROOT}
-        for w in workloads:
+        for w in (wl["name"] for wl in spec["workloads"]):
             pairs = []
             entry = record["workloads"][w] = {"pairs": pairs, "metrics": {}}
             for i, seed in enumerate(record["seeds"]):

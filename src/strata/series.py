@@ -186,7 +186,7 @@ def beta_norm_sq(beta: BetaProfile, k: int, y_min: float, y_max: float) -> float
     successive rules agree to 1e-12 relative, and the finer value is
     returned.  Raises ``ValueError`` unless the bounds are finite with
     ``y_min < y_max`` and the profile is finite at the nodes, and
-    ``RuntimeError`` if the rules still disagree at 4096 nodes, as for a
+    ``RuntimeError`` if the rules still disagree at 1024 nodes, as for a
     profile that jumps inside the interval.
     """
     if not (math.isfinite(y_min) and math.isfinite(y_max) and y_min < y_max):
@@ -204,13 +204,13 @@ def beta_norm_sq(beta: BetaProfile, k: int, y_min: float, y_max: float) -> float
         return float(w @ (np.abs(vals) ** 2 * y ** (k - 2)))
 
     n, coarse = 32, rule(32)
-    while n < 4096:
+    while n < 1024:
         n *= 2
         fine = rule(n)
         if abs(fine - coarse) <= 1e-12 * abs(fine):
             return fine
         coarse = fine
-    raise RuntimeError("seed norm did not settle to 1e-12 within 4096 nodes "
+    raise RuntimeError("seed norm did not settle to 1e-12 within 1024 nodes "
                        "(is the profile smooth on the interval?)")
 
 

@@ -490,7 +490,7 @@ def test_seed_norm_rejects_what_it_cannot_integrate(beta, lo, hi):
 def test_seed_norm_raises_on_an_interior_jump():
     # off the midpoint: a jump there is integrated exactly by symmetry
     jump = BetaProfile(lambda y: np.where(y < 1.3, 1.0, 2.0), (0.8, 1.6))
-    with pytest.raises(RuntimeError, match="4096 nodes"):
+    with pytest.raises(RuntimeError, match="1024 nodes"):
         beta_norm_sq(jump, 2, 0.8, 1.6)
 
 
