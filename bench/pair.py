@@ -12,11 +12,22 @@ compares the same runs.  The change side is the working tree
 of this checkout; ``head`` and ``dirty`` in the output say what it held.
 
 The output holds the machine, the versions, both commits and every run.  For
-each workload and end-to-end metric of ``BENCHMARK.json`` it holds each
-side's median and quartiles, the number of pairs the change won (ties
-count for neither side) and lost, the medians split by which side ran
-first, and the relative change of the median (positive is worse).  It is
-rewritten after every pair, so an interrupted session keeps its pairs.
+each workload it holds each side's attempted and failed op counts and its
+incorrect runs (a run that exits non-zero counts as incorrect).  For each
+workload and end-to-end metric of ``BENCHMARK.json`` it holds each side's
+median and quartiles, the number of pairs the change won (ties count for
+neither side) and lost, the medians split by which side ran first, the
+relative change of the median (positive is worse) and a ``verdict``:
+
+* ``gain``: the change won at least nine tenths of the pairs run and its
+  median is better than the base median by more than the base's
+  interquartile range;
+* ``regression``: the median is worse by more than the metric's bound;
+* ``unresolved``: the base's interquartile range is wider than the bound,
+  relative to its median, and not every change run beats every base run;
+* ``no_regression``: otherwise.
+
+It is rewritten after every pair, so an interrupted session keeps its pairs.
 
 Uses the standard library only.
 """
@@ -88,9 +99,12 @@ def _spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(pairs: list[dict], metric: str, better: str) -> dict:
+def summarize(pairs: list[dict], metric: str, better: str,
+              bound: float) -> dict:
     """Paired summary of one metric over ``pairs`` (each ``{"first", "base",
-    "change"}`` with run results); pairs where a side failed are skipped."""
+    "change"}`` with run results) with its verdict against ``bound``, the
+    relative worsening the metric allows.  Pairs where a side failed are
+    left out of the spreads, but count as run for a gain."""
     sign = 1.0 if better == "lower" else -1.0
     done = [p for p in pairs
             if all(metric in p[s].get("metrics", {}) for s in SIDES)]
@@ -108,7 +122,27 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
     b, c = out["base"]["median"], out["change"]["median"]
     out["median_worse_by"] = sign * (c - b) / b if done and b else None
     out["base_iqr"] = out["base"]["q3"] - out["base"]["q1"] if done else None
+    out["verdict"] = "unresolved"
+    if out["median_worse_by"] is not None:
+        # every change run better than every base run
+        apart = (max(sign * v for v in vals["change"])
+                 < min(sign * v for v in vals["base"]))
+        if (10 * out["change_wins"] >= 9 * len(pairs)
+                and sign * (c - b) < -out["base_iqr"]):
+            out["verdict"] = "gain"
+        elif out["median_worse_by"] > bound:
+            out["verdict"] = "regression"
+        elif out["base_iqr"] <= bound * abs(b) or apart:
+            out["verdict"] = "no_regression"
     return out
+
+
+def _ops(runs: list[dict]) -> dict:
+    """Attempted and failed op counts over ``runs``, and the runs that were
+    not correct (an exited run included)."""
+    return {"attempted": sum(r.get("attempted", 0) for r in runs),
+            "failed": sum(r.get("failed", 0) for r in runs),
+            "incorrect_runs": sum(not r.get("correct", False) for r in runs)}
 
 
 def main(argv=None) -> int:
@@ -135,18 +169,21 @@ def main(argv=None) -> int:
         trees = {"base": Path(tmp), "change": ROOT}
         for w in (wl["name"] for wl in spec["workloads"]):
             pairs = []
-            entry = record["workloads"][w] = {"pairs": pairs, "metrics": {}}
+            entry = record["workloads"][w] = {"pairs": pairs, "ops": {},
+                                              "metrics": {}}
             for i, seed in enumerate(record["seeds"]):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = _run(trees[side], w, seed, seconds)
                 pairs.append(pair)
+                entry["ops"] = {s: _ops([p[s] for p in pairs]) for s in SIDES}
                 for m in spec["end_to_end"]:
                     entry["metrics"][m["name"]] = {
                         "unit": m["unit"], "better": m["better"],
                         "bound": m["bound"],
-                        **summarize(pairs, m["name"], m["better"])}
+                        **summarize(pairs, m["name"], m["better"],
+                                    m["bound"])}
                 out.write_text(json.dumps(record, indent=1) + "\n")
                 print(f"{w} seed {seed}: " + ", ".join(
                     f"{s} {pair[s].get('metrics', pair[s])}"

@@ -221,9 +221,8 @@ def run_series(cfg: RunConfig) -> list[dict]:
 
 
 def _truncated_gaussian(radius: float) -> PlaneFunction:
-    def fn(z):
-        return np.exp(-np.abs(np.asarray(z, complex)) ** 2)
-    return PlaneFunction(fn, radius)
+    gauss = RadialProfile(lambda r: np.exp(-r ** 2), radius)
+    return k_type_function(gauss, 0)
 
 
 def _ring_profile() -> RadialProfile:

@@ -517,10 +517,9 @@ def _check_points(**coords: np.ndarray) -> None:
         raise ValueError("y must be positive")
 
 
-def _ragged(lo: np.ndarray, hi: np.ndarray):
-    """Expand inclusive integer intervals ``[lo_i, hi_i]`` (empty when
-    ``hi_i < lo_i``) into ``(owner, value)`` arrays, intervals in order."""
-    count = np.maximum(hi - lo + 1, 0)
+def _ragged(lo: np.ndarray, count: np.ndarray):
+    """Expand the runs of ``count_i >= 0`` consecutive integers from
+    ``lo_i`` into ``(owner, value)`` arrays, runs in order."""
     owner = np.repeat(np.arange(lo.size), count)
     # value = lo + (position - start), as one repeat and one in-place add
     value = np.repeat(lo - (np.cumsum(count) - count), count)
@@ -528,22 +527,28 @@ def _ragged(lo: np.ndarray, hi: np.ndarray):
     return owner, value
 
 
-def _disc_points(c_re, c_im, x, y, rho):
-    """Integer pairs ``(a, b)`` with ``|(c_re + a x + b) + i (c_im + a y)|
-    <= rho``, per sample (all arguments are arrays of one length, ``y > 0``).
-
-    Lists the rows ``a`` meeting the strip, then each row's ``b`` interval,
-    ``a`` and ``b`` ascending.  Returns ``(row_sample, row_a, point_row, b)``:
-    the sample and ``a`` of each row, and the row and ``b`` of each point.
-    """
-    row_sample, row_a = _ragged(np.ceil((-c_im - rho) / y).astype(np.int64),
-                                np.floor((-c_im + rho) / y).astype(np.int64))
+def _disc_rows(c_re, c_im, x, y, rho):
+    """Rows of the integer pairs ``(a, b)`` with ``|(c_re + a x + b) +
+    i (c_im + a y)| <= rho`` per sample (arrays of one length, ``y > 0``):
+    ``(row_sample, row_a, b_lo, count)``, each row's sample, ``a``
+    (ascending), least ``b`` and number of points.  A caller expands a row
+    quantity to its points by ``np.repeat(., count)``."""
+    a_lo = np.ceil((-c_im - rho) / y).astype(np.int64)
+    a_hi = np.floor((-c_im + rho) / y).astype(np.int64)
+    row_sample, row_a = _ragged(a_lo, np.maximum(a_hi - a_lo + 1, 0))
     im = c_im[row_sample] + row_a * y[row_sample]
     half = np.sqrt(np.maximum(rho[row_sample] ** 2 - im ** 2, 0.0))
     re = c_re[row_sample] + row_a * x[row_sample]
-    point_row, b = _ragged(np.ceil(-re - half).astype(np.int64),
-                           np.floor(-re + half).astype(np.int64))
-    return row_sample, row_a, point_row, b
+    b_lo = np.ceil(-re - half).astype(np.int64)
+    count = np.maximum(np.floor(-re + half).astype(np.int64) - b_lo + 1, 0)
+    return row_sample, row_a, b_lo, count
+
+
+def _disc_points(c_re, c_im, x, y, rho):
+    """The rows of :func:`_disc_rows` and their points, ``b`` ascending in
+    a row: ``(row_sample, row_a, point_row, b)``."""
+    row_sample, row_a, b_lo, count = _disc_rows(c_re, c_im, x, y, rho)
+    return (row_sample, row_a, *_ragged(b_lo, count))
 
 
 # Lattice points one run of samples may enumerate (256 KiB per int64 or
@@ -561,7 +566,7 @@ _SAMPLE_BLOCK = 1 << 16
 def _runs(y: np.ndarray, rho: np.ndarray):
     """Cut ``range(y.size)`` into runs ``[lo, hi)`` whose point bounds
     ``(2 rho / y + 1)(2 rho + 1)`` sum to at most ``_POINT_BUDGET``, with
-    ``rho`` each sample's disc radius as given to :func:`_disc_points`.
+    ``rho`` each sample's disc radius as given to :func:`_disc_rows`.
     A sample is never split, so one over the budget runs alone.  The
     bounds are summed once per call; each cut is one binary search.
     """

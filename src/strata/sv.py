@@ -56,6 +56,7 @@ from .saff import (
     _check_points,
     _check_y_max,
     _disc_points,
+    _disc_rows,
     _runs,
     _sample_block,
     coprime_pairs,
@@ -106,45 +107,45 @@ class PlaneFunction:
     """Compactly supported function on the plane, seen as a function of a
     complex holonomy vector.
 
-    ``fn`` must accept a complex numpy array; values outside the support
-    radius are forced to zero by ``__call__``; they are float64 for a real
-    ``fn`` and complex128 for a complex one.  ``k_type`` records the
-    rotational type ``f = f0(r) exp(i k theta)`` when the function has one
-    (``None`` for a generic function); it is used as the weight label of
-    the transform.
+    A generic function has ``fn``, which must accept a complex numpy array;
+    a k-type one (:func:`k_type_function`) has ``fn = None`` and its radial
+    ``profile``.  ``__call__`` takes ``r = |zeta|`` once, for the support
+    mask and for the profile.  Values are float64 for a real function and
+    complex128 for a complex one.  ``k_type`` records the rotational type
+    ``f = f0(r) exp(i k theta)`` (``None`` for a generic function); it is
+    used as the weight label of the transform.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray] | None
     support_radius: float
     k_type: int | None = None
+    profile: RadialProfile | None = None
 
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=complex)
-        return np.where(np.abs(zeta) <= self.support_radius,
-                        _as_values(self.fn(zeta)), 0.0)
+        r = np.abs(zeta)
+        if self.profile is None:
+            vals = self.fn(zeta)
+        else:
+            # profile.fn, not profile: the mask below is the support mask
+            vals = np.asarray(self.profile.fn(r))
+            if self.k_type:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = vals * np.where(
+                        r > 0.0,
+                        (zeta / np.where(r > 0.0, r, 1.0)) ** self.k_type, 0.0)
+        return np.where(r <= self.support_radius, _as_values(vals), 0.0)
 
 
 def k_type_function(f0: RadialProfile, k: int) -> PlaneFunction:
-    """Build the plane function ``f0(|zeta|) exp(i k arg zeta)``.
+    """The plane function ``f0(|zeta|) exp(i k arg zeta)``, evaluated from
+    one modulus per point.
 
     The value at the origin is ``f0(0)`` for ``k = 0`` and ``0`` otherwise
     (the phase has no continuous extension there).  Values are ``f0``'s
     own for ``k = 0`` (float64 for a real profile) and complex otherwise.
     """
-
-    # f0.fn, not f0: the plane function's own mask is f0's support mask
-    def fn(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        r = np.abs(zeta)
-        vals = np.asarray(f0.fn(r))
-        if k == 0:
-            return vals
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phase = np.where(r > 0.0, (zeta / np.where(r > 0.0, r, 1.0)) ** k,
-                             0.0)
-        return vals * phase
-
-    return PlaneFunction(fn, f0.support_radius, k_type=k)
+    return PlaneFunction(None, f0.support_radius, k_type=k, profile=f0)
 
 
 # Polar rule of the plane integrals: Gauss--Legendre radii x uniform angles.
@@ -260,8 +261,10 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     temporaries, by the per-sample bound
     ``(2 rho / y + 1)(2 rho + 1)``, ``rho = M R sqrt(y)``; a sample is never
     split, so one over the budget runs alone.  Values do not depend on the
-    runs.  The result is complex; a real ``f`` sums in float64 and gets
-    imaginary part ``+0.0``.
+    runs.  A run lists its disc rows once (``saff._disc_rows``) and repeats
+    each row quantity over the row's points; ``f`` gets ``zeta = ((a x + b)
+    / M + u) / sqrt(y) + i t``, in that order.  The result is complex; a
+    real ``f`` sums in float64 and gets imaginary part ``+0.0``.
 
     Raises
     ------
@@ -282,7 +285,7 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
     Mu, Mv = M * u, M * v
     for lo, hi in _runs(y, rho):
         xs, ys, us, vs, sqs = (a[lo:hi] for a in (x, y, u, v, sq))
-        row_sample, a, point_row, b = _disc_points(
+        row_sample, a, b_lo, count = _disc_rows(
             Mu[lo:hi], Mv[lo:hi], xs, ys, rho[lo:hi])
         # t = (v + a y / M) / sqrt(y) per row
         t = ys[row_sample]
@@ -290,18 +293,20 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
         t /= M
         t += vs[row_sample]
         t /= sqs[row_sample]
-        ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sqs[row_sample]
-        # Re zeta = (u + (a x + b) / M) / sqrt(y) per point
-        re = ax[point_row]
-        re += b
+        # Re zeta = (u + (a x + b) / M) / sqrt(y) per point; b is exact in
+        # float64 as (b_lo - start) + position, and a x + b == b + a x
+        re = np.repeat((b_lo - (np.cumsum(count) - count)).astype(float),
+                       count)
+        re += np.arange(re.size, dtype=float)
+        re += np.repeat(a * xs[row_sample], count)
         re /= M
-        re += u_row[point_row]
-        zeta = np.empty(b.size, dtype=complex)
-        np.divide(re, sq_row[point_row], out=zeta.real)
+        re += np.repeat(us[row_sample], count)
+        zeta = np.empty(re.size, dtype=complex)
+        np.divide(re, np.repeat(sqs[row_sample], count), out=zeta.real)
         del re
-        zeta.imag = t[point_row]
+        zeta.imag = np.repeat(t, count)
         vals = f(zeta)
-        sample = row_sample[point_row]
+        sample = np.repeat(row_sample, count)
         out.real[lo:hi] = np.bincount(sample, weights=vals.real,
                                       minlength=hi - lo)
         if np.iscomplexobj(vals):

@@ -648,6 +648,6 @@ def test_ragged_matches_gather_formula():
         owner = np.repeat(np.arange(size), count)
         starts = np.cumsum(count) - count
         want = lo[owner] + (np.arange(owner.size) - starts[owner])
-        got_owner, got = _ragged(lo, hi)
+        got_owner, got = _ragged(lo, count)
         assert np.array_equal(got_owner, owner)
         assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -17,6 +17,8 @@ from strata.saff import (
     IwasawaCoords,
     JacobiPoint,
     _act_arrays,
+    _disc_points,
+    _disc_rows,
     _runs,
     element_from_iwasawa,
     element_to_point,
@@ -30,7 +32,7 @@ from strata.saff import (
 )
 from strata.series import (BetaProfile, beta_bump, beta_discrete,
                            eisenstein, poincare)
-from strata.special import RadialProfile
+from strata.special import RadialProfile, _as_values
 from strata.sv import (
     FundamentalBump,
     _stabilizer_cosets,
@@ -1025,6 +1027,8 @@ def _lattice_sum_cases():
         "rel_complex": (lambda: sv_rel_values(k_type_function(gauss, 1),
                                               x, y, u, v, 2),
                         y, 5.0 * np.sqrt(y), None),
+        "rel_generic": (lambda: sv_rel_values(_gauss_plane(), x, y, u, v, 2),
+                        y, 5.0 * np.sqrt(y), None),
         "dual_norm": (lambda: dual_norm_sum_values(gauss, x, y, 1),
                       y, 2.5 * np.sqrt(y), None),
         "series_compact": (lambda: bump.fn(px, py, pu, pv), py,
@@ -1035,8 +1039,9 @@ def _lattice_sum_cases():
     }
 
 
-@pytest.mark.parametrize("name", ["rel_real", "rel_complex", "dual_norm",
-                                  "series_compact", "series_truncated"])
+@pytest.mark.parametrize("name", ["rel_real", "rel_complex", "rel_generic",
+                                  "dual_norm", "series_compact",
+                                  "series_truncated"])
 def test_lattice_sums_do_not_depend_on_runs(name, monkeypatch):
     """Every lattice-sum evaluator is bitwise the same, as uint64, with
     the point budget at 2^10, 2^15 and 2^17, though the runs cut the
@@ -1061,6 +1066,153 @@ def test_lattice_sums_do_not_depend_on_runs(name, monkeypatch):
     assert np.count_nonzero(bits[0]) > 0
     for got in bits[1:]:
         assert np.array_equal(got, bits[0])
+
+
+def test_disc_points_are_disc_rows_expanded(monkeypatch):
+    """On every disc input of the lattice-sum cases, ``_disc_points`` is
+    ``_disc_rows`` with each row repeated ``count`` times: ``point_row``
+    is the repeated row index, a row quantity read through it is its
+    ``np.repeat``, and ``b`` equals ``(b_lo - start) + position`` in int64
+    and, as ``sv_rel_values`` builds it, in float64."""
+    seen = []
+
+    def spy(fn):
+        def record(*args):
+            seen.append(args)
+            return fn(*args)
+        return record
+
+    for target, fn in (("strata.sv._disc_rows", _disc_rows),
+                       ("strata.sv._disc_points", _disc_points),
+                       ("strata.series._disc_points", _disc_points)):
+        monkeypatch.setattr(target, spy(fn))
+    for name, (evaluate, _, rho, _) in _lattice_sum_cases().items():
+        before = len(seen)
+        evaluate()
+        assert (len(seen) > before) == (rho is not None), name
+    for args in seen:
+        row_sample, row_a, point_row, b = _disc_points(*args)
+        want_sample, want_a, b_lo, count = _disc_rows(*args)
+        assert np.array_equal(row_sample, want_sample)
+        assert np.array_equal(row_a, want_a)
+        assert count.dtype == np.int64 and (count >= 0).all()
+        assert np.array_equal(point_row,
+                              np.repeat(np.arange(count.size), count))
+        assert np.array_equal(row_a[point_row], np.repeat(row_a, count))
+        starts = np.cumsum(count) - count
+        assert b.dtype == np.int64
+        assert np.array_equal(b, np.repeat(b_lo - starts, count)
+                              + np.arange(b.size))
+        b_float = np.repeat((b_lo - starts).astype(float), count)
+        b_float += np.arange(b.size, dtype=float)
+        assert np.array_equal(b_float, b)
+
+
+def _gather_sv_rel_values(f, x, y, u, v, M):
+    """``sv_rel_values`` on 1-d float arrays as it was before it expanded
+    rows by ``np.repeat``: every point gathers its row's quantities through
+    ``point_row`` and adds ``b`` as int64, and a generic ``f.fn`` is masked
+    by its own modulus."""
+    out = np.zeros(x.size, dtype=complex)
+    sq = np.sqrt(y)
+    rho = M * f.support_radius * sq
+    Mu, Mv = M * u, M * v
+    for lo, hi in _runs(y, rho):
+        xs, ys, us, vs, sqs = (a[lo:hi] for a in (x, y, u, v, sq))
+        row_sample, a, point_row, b = _disc_points(
+            Mu[lo:hi], Mv[lo:hi], xs, ys, rho[lo:hi])
+        t = ys[row_sample]
+        t *= a
+        t /= M
+        t += vs[row_sample]
+        t /= sqs[row_sample]
+        ax, u_row, sq_row = a * xs[row_sample], us[row_sample], sqs[row_sample]
+        re = ax[point_row]
+        re += b
+        re /= M
+        re += u_row[point_row]
+        zeta = np.empty(b.size, dtype=complex)
+        np.divide(re, sq_row[point_row], out=zeta.real)
+        zeta.imag = t[point_row]
+        # the support mask as PlaneFunction.__call__ applied it
+        vals = np.where(np.abs(zeta) <= f.support_radius,
+                        _as_values(f.fn(zeta)), 0.0)
+        sample = row_sample[point_row]
+        out.real[lo:hi] = np.bincount(sample, weights=vals.real,
+                                      minlength=hi - lo)
+        if np.iscomplexobj(vals):
+            out.imag[lo:hi] = np.bincount(sample, weights=vals.imag,
+                                          minlength=hi - lo)
+    return out
+
+
+def _closure_k_type(f0, k):
+    """The k-type plane function as a generic one, a closure that takes
+    its own modulus: how ``k_type_function`` built it before
+    ``PlaneFunction`` evaluated a radial profile itself."""
+
+    def fn(zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        r = np.abs(zeta)
+        vals = np.asarray(f0.fn(r))
+        if k == 0:
+            return vals
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phase = np.where(r > 0.0, (zeta / np.where(r > 0.0, r, 1.0)) ** k,
+                             0.0)
+        return vals * phase
+
+    return PlaneFunction(fn, f0.support_radius, k_type=k)
+
+
+# M -> (y, u): at x = v = 0 the disc enumeration keeps the point
+# (a, b) = (0, floor(2 M sqrt(y))), whose |zeta| is one ulp above 2
+_ULP_OUTSIDE = {1: (2.5484729993806, 0.1927874964554721),
+                2: (3.560779020534023, 0.2740053102951634),
+                3: (11.97843298400666, 0.25530790248819596)}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_sv_rel_values_matches_gather_reference_bitwise(M):
+    """The row-expanded transform is bitwise the gather-based one, as
+    uint64, for generic real and complex functions and for k-type ones
+    (k = 0, 1, 2, -3) against the closure that took its own modulus.
+    Heights are log-uniform on [1e-3, 1e6]; the last four samples hold a
+    point at zeta = 0 and one at |zeta| = R, a point one ulp outside R,
+    no lattice point at all, and more points than the budget."""
+    R = 2.0
+    rng = np.random.default_rng(40 + M)
+    n = 2000
+    x = rng.uniform(-3.0, 3.0, n)
+    y = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), n))
+    u, v = rng.uniform(-2.0, 2.0, (2, n))
+    y_out, u_out = _ULP_OUTSIDE[M]
+    b_out = math.floor(M * R * math.sqrt(y_out))
+    assert (b_out / M + u_out) / math.sqrt(y_out) == np.nextafter(R, 3.0)
+    edge = np.array([(0.0, 1.0, 0.0, 0.0),
+                     (0.0, y_out, u_out, 0.0),
+                     (0.0, 1e4, 0.0, 2500.0),
+                     (0.3, 1e9, 0.1, 0.0)])
+    x, y, u, v = (np.append(c, e) for c, e in zip((x, y, u, v), edge.T))
+    rho = M * R * np.sqrt(y)
+    _, row_a, point_row, b = _disc_points(M * u[-3:-2], M * v[-3:-2],
+                                          x[-3:-2], y[-3:-2], rho[-3:-2])
+    assert ((row_a[point_row] == 0) & (b == b_out)).any()
+    assert list(_runs(y, rho))[-1] == (y.size - 1, y.size)
+
+    gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), R)
+    funcs = [(k_type_function(gauss, k), _closure_k_type(gauss, k))
+             for k in (0, 1, 2, -3)]
+    for fn in (lambda z: np.cos(3.0 * z.real) * np.exp(-np.abs(z)),
+               lambda z: z * np.exp(-np.abs(z) ** 2)):
+        generic = PlaneFunction(fn, R)
+        funcs.append((generic, generic))
+    for f, ref in funcs:
+        got = sv_rel_values(f, x, y, u, v, M)
+        want = _gather_sv_rel_values(ref, x, y, u, v, M)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.count_nonzero(got[:n]) > n // 2
+        assert got[-2] == 0.0 and got[-1] != 0.0
 
 
 def test_sv_mean_mc_memory_bounded_by_block():
