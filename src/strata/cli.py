@@ -51,7 +51,7 @@ from .saff import (
 )
 from .series import (BetaProfile, beta_bump, beta_norm_sq, eisenstein,
                      seed as series_seed)
-from .spectral import ModeGrid, refinement_deltas
+from .spectral import ModeGrid, build_mode_operator, refinement_deltas
 from .sv import (
     PlaneFunction,
     k_type_function,
@@ -486,6 +486,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _spectrum_eps(args: argparse.Namespace, cfg: RunConfig) -> list[float]:
+    """The ``--eps`` list, once every ``spectrum`` option can be solved;
+    otherwise a ``ValueError`` that names the option."""
+    try:
+        eps_list = [float(e) for e in args.eps.split(",") if e]
+    except ValueError:
+        raise ValueError(f"bad --eps list: {args.eps!r}") from None
+    ok_eps = all(0.0 <= e < math.inf for e in eps_list)
+    for option, value, need, ok in (
+            ("--eps", args.eps, "finite and >= 0", ok_eps),
+            ("--n", args.n, "nonzero (cusp modes only)", args.n != 0),
+            ("--m", args.m, "nonzero (cusp modes only)", args.m != 0)):
+        if not ok:
+            raise ValueError(f"{option} must be {need}, got {value!r}")
+    size = build_mode_operator(args.k, args.n, args.m, 0.0,
+                               cfg.mode_grid()).size
+    if not 1 <= args.count <= size:
+        raise ValueError(f"--count must be in [1, {size}] on a grid of "
+                         f"grid_n = {cfg.grid_n} nodes, got {args.count}")
+    return eps_list
+
+
 def _emit(text: str, out_path: str) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -508,9 +530,9 @@ def main(argv=None) -> int:
 
     if args.command == "spectrum":
         try:
-            eps_list = [float(e) for e in args.eps.split(",") if e]
-        except ValueError:
-            print(f"bad --eps list: {args.eps!r}", file=sys.stderr)
+            eps_list = _spectrum_eps(args, cfg)
+        except ValueError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
             return 2
         rows = spectrum_table(cfg, args.k, args.n, args.m, eps_list,
                               args.count)

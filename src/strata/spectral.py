@@ -49,6 +49,7 @@ __all__ = [
     "potential",
     "build_mode_operator",
     "eigen_solve",
+    "eigenvalues",
     "rayleigh_quotient",
     "epsilon_sweep",
     "window_count",
@@ -174,12 +175,12 @@ def build_mode_operator(k: int, n: int, m: int, eps: float,
     """Assemble the P1 / lumped-mass discretization of the mode operator.
 
     Raises ``ValueError`` unless ``n != 0``, ``m != 0`` (cusp modes only)
-    and ``eps >= 0``.
+    and ``eps`` is finite and ``>= 0``.
     """
     if n == 0 or m == 0:
         raise ValueError("cusp modes require n != 0 and m != 0")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     y = grid.nodes()
     h = np.diff(y)
     inv = 1.0 / h
@@ -193,6 +194,13 @@ def build_mode_operator(k: int, n: int, m: int, eps: float,
                         mass=mass)
 
 
+def _tridiagonal(op: ModeOperator, count: int):
+    """``op.symmetric_tridiagonal()``, once ``count`` fits ``op.size``."""
+    if not 1 <= count <= op.size:
+        raise ValueError(f"count must be in [1, {op.size}], got {count}")
+    return op.symmetric_tridiagonal()
+
+
 def eigen_solve(op: ModeOperator, count: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``count`` eigenpairs of ``A v = lam M v``.
@@ -200,12 +208,18 @@ def eigen_solve(op: ModeOperator, count: int
     Returns ascending eigenvalues and an ``(size, count)`` array whose
     columns are orthonormal in the weighted inner product.
     """
-    if not 1 <= count <= op.size:
-        raise ValueError("count out of range")
-    d, e = op.symmetric_tridiagonal()
+    d, e = _tridiagonal(op, count)
     vals, vecs = eigh_tridiagonal(d, e, select="i",
                                   select_range=(0, count - 1))
     return vals, vecs / np.sqrt(op.mass)[:, None]
+
+
+def eigenvalues(op: ModeOperator, count: int) -> np.ndarray:
+    """:func:`eigen_solve`'s values (the same ``stebz`` bisection) without
+    vectors, copied out of the length-``size`` array a slice would pin."""
+    d, e = _tridiagonal(op, count)
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                            select_range=(0, count - 1)).copy()
 
 
 def rayleigh_quotient(op: ModeOperator, values: np.ndarray) -> float:
@@ -225,11 +239,8 @@ def epsilon_sweep(k: int, n: int, m: int, eps_list, count: int = 10,
     nonnegative diagonal perturbation); as ``eps`` decreases the rows
     slide down toward the continuum band bottom and fill windows densely.
     """
-    rows = []
-    for eps in eps_list:
-        vals, _ = eigen_solve(build_mode_operator(k, n, m, eps, grid), count)
-        rows.append(vals)
-    return np.array(rows)
+    return np.array([eigenvalues(build_mode_operator(k, n, m, eps, grid),
+                                 count) for eps in eps_list])
 
 
 def window_count(vals: np.ndarray, lo: float, hi: float) -> int:
@@ -242,7 +253,7 @@ def refinement_deltas(k: int, n: int, m: int, eps: float, count: int = 10,
                       grid: ModeGrid = ModeGrid()
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues plus their relative shift under one grid refinement."""
-    vals, _ = eigen_solve(build_mode_operator(k, n, m, eps, grid), count)
-    fine, _ = eigen_solve(build_mode_operator(k, n, m, eps, grid.refined()),
-                          count)
+    vals = eigenvalues(build_mode_operator(k, n, m, eps, grid), count)
+    fine = eigenvalues(build_mode_operator(k, n, m, eps, grid.refined()),
+                       count)
     return fine, np.abs(fine - vals) / np.abs(fine)

@@ -124,17 +124,23 @@ class PlaneFunction:
     def __call__(self, zeta):
         zeta = np.asarray(zeta, dtype=complex)
         r = np.abs(zeta)
+        inside = r <= self.support_radius
         if self.profile is None:
             vals = self.fn(zeta)
         else:
             # profile.fn, not profile: the mask below is the support mask
             vals = np.asarray(self.profile.fn(r))
             if self.k_type:
+                # zeta * (1 / r) is zeta / (r + 0j) up to signed zeros; one
+                # operand order, as numpy's complex product is not bitwise
+                # commutative (it elides ``vals * tmp`` to ``tmp *= vals``)
+                inside &= r > 0.0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = vals * np.where(
-                        r > 0.0,
-                        (zeta / np.where(r > 0.0, r, 1.0)) ** self.k_type, 0.0)
-        return np.where(r <= self.support_radius, _as_values(vals), 0.0)
+                    phase = zeta * (1.0 / r)
+                    phase **= self.k_type
+                    phase *= vals
+                vals = phase
+        return np.where(inside, _as_values(vals), 0.0)
 
 
 def k_type_function(f0: RadialProfile, k: int) -> PlaneFunction:
@@ -307,10 +313,11 @@ def sv_rel_values(f: PlaneFunction, x, y, u, v, M: int) -> np.ndarray:
         zeta.imag = np.repeat(t, count)
         vals = f(zeta)
         sample = np.repeat(row_sample, count)
-        out.real[lo:hi] = np.bincount(sample, weights=vals.real,
-                                      minlength=hi - lo)
         if np.iscomplexobj(vals):
-            out.imag[lo:hi] = np.bincount(sample, weights=vals.imag,
+            # in point order from +0.0, as bincount sums each part
+            np.add.at(out[lo:hi], sample, vals)
+        else:
+            out.real[lo:hi] = np.bincount(sample, weights=vals,
                                           minlength=hi - lo)
     return out.reshape(shape)
 

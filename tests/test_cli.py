@@ -155,6 +155,39 @@ def test_bad_eps_list_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, option", [
+    (["--count", "0"], "--count"),
+    (["--count", "4095"], "--count"),
+    (["--eps", "-0.5"], "--eps"),
+    (["--eps", "nan"], "--eps"),
+    (["--eps", "1,inf"], "--eps"),
+    (["--n", "0"], "--n "),
+    (["--m", "0"], "--m "),
+])
+def test_unusable_spectrum_option_exits_2(flags, option, capsys):
+    """A ``spectrum`` option that no mode solve can use is one stderr line
+    naming it, not a traceback: a count outside [1, 4094] on the default
+    grid's 4094 interior nodes, an eps below 0 or not finite, and the
+    non-cusp modes n = 0 and m = 0."""
+    assert main(["spectrum"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and option in captured.err
+
+
+def test_spectrum_count_follows_the_configured_grid(tmp_path, capsys):
+    """With ``grid_n = 16`` the coarse solve has 14 interior nodes: 14
+    eigenvalues can be asked for, 15 cannot."""
+    path = tmp_path / "small.cfg"
+    path.write_text("grid_n = 16\n")
+    argv = ["spectrum", "--config", str(path), "--eps", "1", "--count"]
+    assert main(argv + ["14"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 14
+    assert main(argv + ["15"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--count" in err and "14" in err
+
+
 def _config_error(argv, capsys, tmp_path, key, value, flag=True):
     """Exit code and stderr of ``argv`` with ``key = value``, once set in a
     config file and, for a key with a flag, once as a flag."""

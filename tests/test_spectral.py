@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strata.operators import fit_lambda, mode_apply
 from strata.spectral import (
     ModeGrid,
     build_mode_operator,
     eigen_solve,
+    eigenvalues,
     epsilon_sweep,
     potential,
     rayleigh_quotient,
@@ -44,13 +47,38 @@ def test_build_rejects_bad_parameters():
         build_mode_operator(0, 0, 1, 1.0)
     with pytest.raises(ValueError):
         build_mode_operator(0, 1, 0, 1.0)
-    with pytest.raises(ValueError):
-        build_mode_operator(0, 1, 1, -0.5)
+    for eps in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            build_mode_operator(0, 1, 1, eps)
     op = build_mode_operator(0, 1, 1, 1.0, ModeGrid(n_points=64))
-    with pytest.raises(ValueError):
-        eigen_solve(op, 0)
-    with pytest.raises(ValueError):
-        eigen_solve(op, op.size + 1)
+    for solve in (eigen_solve, eigenvalues):
+        for count in (0, op.size + 1):
+            with pytest.raises(ValueError, match="count"):
+                solve(op, count)
+
+
+_nonzero = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=12)
+@given(k=st.integers(-2, 4), n=_nonzero, m=_nonzero,
+       eps=st.sampled_from([0.0, 0.01, 0.3, 1.0, 2.5]),
+       count=st.integers(1, 25), refined=st.booleans())
+@example(k=2, n=-1, m=-2, eps=0.0, count=6, refined=False)
+@example(k=2, n=-1, m=-2, eps=0.0, count=6, refined=True)
+def test_eigenvalues_are_eigen_solve_values_owned(k, n, m, eps, count,
+                                                   refined):
+    """``eigenvalues`` returns an array that owns exactly ``count`` values
+    (not a view of LAPACK's work array), bitwise ``eigen_solve``'s, on the
+    default grid and on its refinement; the examples pin k = 2 with
+    negative n and m at eps = 0."""
+    grid = ModeGrid().refined() if refined else ModeGrid()
+    op = build_mode_operator(k, n, m, eps, grid)
+    vals = eigenvalues(op, count)
+    assert vals.base is None and vals.flags.owndata
+    assert vals.shape == (count,)
+    pairs, _ = eigen_solve(op, count)
+    assert np.array_equal(vals.view(np.uint64), pairs.view(np.uint64))
 
 
 def test_symmetry_in_weighted_inner_product():

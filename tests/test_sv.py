@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1005,6 +1006,9 @@ def _lattice_sum_cases():
     x, u, v = (np.append(a, 0.1) for a in (s.x, s.u, s.v))
     y = np.append(s.y, 1e5)
     gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.5)
+    swirl = RadialProfile(
+        lambda r: np.exp(-np.asarray(r) ** 2) * (1.0 + 0.7j * np.asarray(r)),
+        2.5)
     rng = np.random.default_rng(8)
     px = rng.uniform(-0.5, 0.5, 300)
     py = np.append(np.exp(rng.uniform(math.log(0.05), math.log(3.0), 299)),
@@ -1029,6 +1033,9 @@ def _lattice_sum_cases():
                         y, 5.0 * np.sqrt(y), None),
         "rel_generic": (lambda: sv_rel_values(_gauss_plane(), x, y, u, v, 2),
                         y, 5.0 * np.sqrt(y), None),
+        "rel_complex_profile": (
+            lambda: sv_rel_values(k_type_function(swirl, 2), x, y, u, v, 2),
+            y, 5.0 * np.sqrt(y), None),
         "dual_norm": (lambda: dual_norm_sum_values(gauss, x, y, 1),
                       y, 2.5 * np.sqrt(y), None),
         "series_compact": (lambda: bump.fn(px, py, pu, pv), py,
@@ -1040,14 +1047,17 @@ def _lattice_sum_cases():
 
 
 @pytest.mark.parametrize("name", ["rel_real", "rel_complex", "rel_generic",
-                                  "dual_norm", "series_compact",
-                                  "series_truncated"])
+                                  "rel_complex_profile", "dual_norm",
+                                  "series_compact", "series_truncated"])
 def test_lattice_sums_do_not_depend_on_runs(name, monkeypatch):
     """Every lattice-sum evaluator is bitwise the same, as uint64, with
     the point budget at 2^10, 2^15 and 2^17, though the runs cut the
     samples differently at each budget; under 2^10 the last disc sample,
     over the budget, runs alone.  A coset series, the truncated one too,
-    reads the budget when it is called: its run count follows it."""
+    reads the budget when it is called: its run count follows it.  A
+    k-type function with a complex profile multiplies its phase in one
+    operand order: numpy's complex product does not round commutatively,
+    and ``vals * phase`` ran as ``phase *= vals`` on runs above 256 KiB."""
     evaluate, y, rho, calls = _lattice_sum_cases()[name]
     bits, n_runs, n_calls = [], [], []
     for budget in (1 << 10, 1 << 15, 1 << 17):
@@ -1213,6 +1223,44 @@ def test_sv_rel_values_matches_gather_reference_bitwise(M):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.count_nonzero(got[:n]) > n // 2
         assert got[-2] == 0.0 and got[-1] != 0.0
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_k_type_edge_samples_match_gather_reference_bitwise(M):
+    """Edge samples of the k-type path against the gather reference, as
+    uint64, with RuntimeWarnings as errors: a sample whose one lattice
+    point is zeta = 0 (+0.0+0.0j for k != 0, f0(0) for k = 0), a sample
+    with no lattice point, an over-budget sample that runs alone, then
+    ordinary samples; k = 0, 1, 2, -3 and a complex generic function."""
+    R = 0.3
+    # at y = 1, x = 0 the points are ((b / M + u) + i (a / M + v)), 1/M apart
+    edge = np.array([(0.0, 1.0, 0.0, 0.0),
+                     (0.0, 1.0, 0.5 / M, 0.5 / M),
+                     (0.3, 1e10, 0.1, 0.0)])
+    rng = np.random.default_rng(70 + M)
+    rest = np.stack([rng.uniform(-1.0, 1.0, 200),
+                     np.exp(rng.uniform(-3.0, 6.0, 200)),
+                     *rng.uniform(-1.0, 1.0, (2, 200))], axis=1)
+    x, y, u, v = np.concatenate([edge, rest]).T
+    assert (2, 3) in list(_runs(y, M * R * np.sqrt(y)))
+
+    gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), R)
+    funcs = [(k_type_function(gauss, k), _closure_k_type(gauss, k))
+             for k in (0, 1, 2, -3)]
+    generic = PlaneFunction(lambda z: z * np.exp(-np.abs(z) ** 2), R)
+    funcs.append((generic, generic))
+    for f, ref in funcs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sv_rel_values(f, x, y, u, v, M)
+            at_origin = f(np.zeros(3, dtype=complex))
+        want = _gather_sv_rel_values(ref, x, y, u, v, M)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        origin = np.array([1.0 if f.k_type == 0 else 0.0], dtype=complex)
+        assert np.array_equal(got[:1].view(np.uint64), origin.view(np.uint64))
+        assert np.all(at_origin == origin)
+        assert not got[1:2].view(np.uint64).any()
+        assert got[2] != 0.0 and np.count_nonzero(got[3:]) > 100
 
 
 def test_sv_mean_mc_memory_bounded_by_block():
