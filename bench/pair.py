@@ -14,8 +14,11 @@ of this checkout; ``head`` and ``dirty`` in the output say what it held.
 The output holds the machine, the versions, both commits and every run.  For
 each workload it holds each side's attempted and failed op counts and its
 incorrect runs (a run that exits non-zero counts as incorrect).  For each
-workload and end-to-end metric of ``BENCHMARK.json`` it holds each side's
-median and quartiles, the number of pairs the change won (ties count for
+workload and side it holds the median time of each op kind, pooled over
+the op times (``(kind, seconds)`` pairs) that each run's
+``perfbench/out/<workload>-seed<N>-trace0.json`` records, so it shows which
+op moved a median.  For each workload and end-to-end metric of
+``BENCHMARK.json`` it holds each side's median and quartiles, the number of pairs the change won (ties count for
 neither side) and lost, the medians split by which side ran first, the
 relative change of the median (positive is worse) and a ``verdict``:
 
@@ -88,6 +91,27 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     res["metrics"] = {k: v["value"] for k, v in res["metrics"].items()}
     return res
+
+
+def _op_times(tree: Path, workload: str, seed: int) -> list:
+    """The ``(kind, seconds)`` op times that the run of ``workload`` at
+    ``seed`` left in ``tree``; none if its record is missing or unreadable."""
+    path = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        return json.loads(path.read_text())["op_times"]
+    except (OSError, ValueError, KeyError):
+        return []
+
+
+def op_kind_medians(runs: list[list]) -> dict:
+    """Median time in ms of each op kind, pooled over the ``(kind,
+    seconds)`` op times of ``runs``."""
+    by_kind: dict[str, list[float]] = {}
+    for times in runs:
+        for kind, seconds in times:
+            by_kind.setdefault(kind, []).append(seconds)
+    return {kind: 1e3 * statistics.median(v)
+            for kind, v in sorted(by_kind.items())}
 
 
 def _spread(values: list[float]) -> dict:
@@ -169,15 +193,20 @@ def main(argv=None) -> int:
         trees = {"base": Path(tmp), "change": ROOT}
         for w in (wl["name"] for wl in spec["workloads"]):
             pairs = []
+            times = {s: [] for s in SIDES}
             entry = record["workloads"][w] = {"pairs": pairs, "ops": {},
-                                              "metrics": {}}
+                                              "op_kind_ms": {}, "metrics": {}}
             for i, seed in enumerate(record["seeds"]):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = _run(trees[side], w, seed, seconds)
+                    if "error" not in pair[side]:
+                        times[side].append(_op_times(trees[side], w, seed))
                 pairs.append(pair)
                 entry["ops"] = {s: _ops([p[s] for p in pairs]) for s in SIDES}
+                entry["op_kind_ms"] = {s: op_kind_medians(times[s])
+                                       for s in SIDES}
                 for m in spec["end_to_end"]:
                     entry["metrics"][m["name"]] = {
                         "unit": m["unit"], "better": m["better"],

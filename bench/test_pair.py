@@ -98,3 +98,16 @@ def test_ops_count_attempts_failures_and_incorrect_runs():
             {"error": "exit 1: worker exited 1"}]
     assert pair._ops(runs) == {"attempted": 11, "failed": 2,
                                "incorrect_runs": 2}
+
+
+def test_op_kind_medians_pool_the_runs_of_a_side(tmp_path):
+    runs = [[["hankel", 0.002], ["whittaker", 0.003], ["hankel", 0.004]],
+            [["whittaker", 0.001], ["hankel", 0.006]], []]
+    assert pair.op_kind_medians(runs) == {"hankel": 4.0, "whittaker": 2.0}
+    assert pair.op_kind_medians([]) == {}
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "w-seed7-trace0.json").write_text(
+        '{"correct": true, "op_times": [["a", 0.5]]}\n')
+    assert pair._op_times(tmp_path, "w", 7) == [["a", 0.5]]
+    assert pair._op_times(tmp_path, "w", 8) == []

@@ -3,21 +3,25 @@ Hankel-transform machinery used by the coefficient formulas.
 
 Bessel and log-gamma evaluations delegate to scipy (order-2 Bessel values
 by one recurrence step from ``j0`` / ``j1``).  The Whittaker function
-``W_{kappa, it}`` of the continuous spectrum (real ``kappa``,
-``0 < |t| <= 4``, ``x >= 1e-12``) is computed in float64, vectorized over
-``x``: a trapezoidal rule on the Laplace integral of ``W`` (DLMF 13.16.5)
-in ``s = log u`` on a contour rotated by a fixed angle, which converges
-exponentially for this analytic integrand (Trefethen and Weideman, SIAM
-Rev. 56 (2014) 385), at a starting order at or below -1, then the
-contiguous relation in ``kappa`` (DLMF 13.15.11) up to ``kappa``.  Its
-error stays below 1e-12 of the largest ``|W|`` on a grid, checked against
-mpmath.  Every other Whittaker case (real ``mu``, ``|t| > 4``, tiny ``x``),
-``whittaker_m`` and the ODE residual oracle stay on mpmath (``whitw`` /
-``whitm`` at 30 digits), which is imported on the first such call.  Radial
-profiles keep the kind of their values (float64 or complex128), and
-``_uniform_spline`` builds scipy's not-a-knot cubic spline on a uniform
-grid through ``scipy.linalg`` and evaluates it bitwise like scipy's
-``CubicSpline``, without loading ``scipy.interpolate``.
+``W_{kappa, mu}`` for real ``kappa`` is computed in float64, vectorized over
+``x``, on two cases: ``mu = it`` of the continuous spectrum
+(``0 < |t| <= 4``, ``x >= 1e-12``) and real ``mu`` of the discrete and
+complementary series (``|mu| <= 2``, ``x >= 1e-2``).  Both take one
+trapezoidal rule on the Laplace integral of ``W`` (DLMF 13.16.5) in
+``s = log u``, which converges exponentially for this analytic integrand
+(Trefethen and Weideman, SIAM Rev. 56 (2014) 385), on a contour rotated by
+a fixed angle for ``mu = it`` and on the real axis for real ``mu``, at a
+starting order at or below -1, then the contiguous relation in ``kappa``
+(DLMF 13.15.11) up to ``kappa``.  Its error stays below 1e-12 of the
+largest ``|W|`` on a grid, checked against mpmath.  Every other Whittaker
+case (complex ``kappa``, ``mu`` on neither axis, ``|t| > 4``, ``|mu| > 2``,
+``x`` below the case's minimum), ``whittaker_m`` and the ODE residual
+oracle stay on mpmath (``whitw`` / ``whitm`` at 30 digits), which is
+imported on the first such call.  Radial profiles keep the kind of their
+values (float64 or complex128), and ``_uniform_spline`` builds scipy's
+not-a-knot cubic spline on a uniform grid through ``scipy.linalg`` and
+evaluates it bitwise like scipy's ``CubicSpline``, without loading
+``scipy.interpolate``.
 
 The Hankel transform of a compactly supported radial profile uses a
 fixed-node rule: 24-point Gauss-Legendre panels of equal width on the
@@ -116,16 +120,18 @@ def _whit(which: str, kappa, mu, x) -> complex:
         return complex(val)
 
 
-# Trapezoidal rule for W_{kappa, it}: nodes s = j h, j in _W_NODES, on the
-# rotated contour u = exp(s + i theta) of the Laplace integral.  The rule's
-# error falls like exp(-2 pi d / h), d = pi/2 - theta the distance to the
-# edge of the strip where exp(-x u) decays, about 3e-16 at h = 3/16 (which
-# also keeps every node exact); theta damps the oscillation of u^(2it),
-# which on the real axis cancels about exp(pi t) in the sum.
+# Trapezoidal rule for W_{kappa, mu}: nodes s = j h, j in _W_NODES, on the
+# contour u = exp(s + i theta) of the Laplace integral.  The rule's error
+# falls like exp(-2 pi d / h), d = pi/2 - theta the distance to the edge of
+# the strip where exp(-x u) decays, about 3e-16 at h = 3/16 and the rotated
+# contour (h also keeps every node exact).  For mu = i t the contour is
+# rotated by theta = 1/2, which damps the oscillation of u^(2it), which on
+# the real axis cancels about exp(pi t) in the sum; for real mu it is the
+# real axis, theta = 0, where every factor is real and d = pi/2.
 # The nodes reach s = 32, where exp(-x u) has decayed for every
-# x >= _W_X_MIN, and s = -34.5, where the left tail u^(1/2 - kappa0) of a
-# starting order kappa0 <= -1 is below 1e-17 of W at every x where W does
-# not underflow.
+# x >= _W_X_MIN, and s = -34.5, where the left tail u^(1/2 + mu - kappa0)
+# of a starting order kappa0 <= -1 (Re mu >= 0) is below 1e-17 of W at
+# every x where W does not underflow.
 _W_STEP = 0.1875
 _W_NODES = (-184, 172)
 _W_ROTATION = 0.5
@@ -133,36 +139,46 @@ _W_X_MIN = 1e-12
 # Past this t the remaining cancellation, about exp((pi - 2 theta) t), costs
 # more than three digits.
 _W_T_MAX = 4.0
+# Real orders: the validated |mu| and the smallest x.  Near kappa = mu +
+# 1/2 + n the small-x term x^(1/2 - mu) of W vanishes, and the climb in
+# kappa cancels it from start values of that size: at kappa = 2,
+# mu = 3/2 the error grows like x^(-1), to about 1e-6 of max |W| at
+# x = 1e-12; from x = 1e-2 on it stays below 1e-13 of max |W|.
+_W_MU_MAX = 2.0
+_W_X_MIN_REAL = 1e-2
 # Entries of one (x, node) block of exp(-x u) (16 MiB of complex128).
 _W_BUDGET = 1 << 20
 
 
-def _whittaker_w_imag(kappa: float, t: float, x: np.ndarray) -> np.ndarray:
-    """``W_{kappa, it}(x)`` (real) for real ``kappa``, ``t > 0`` and a 1-D
-    array ``x >= _W_X_MIN``.
+def _whittaker_w_rule(kappa: float, mu, x: np.ndarray) -> np.ndarray:
+    """``W_{kappa, mu}(x)`` (real) for real ``kappa``, ``mu = i t`` with
+    ``t > 0`` or real ``mu >= 0``, and a 1-D array ``x >= _W_X_MIN``.
 
-    ``W = x^(it+1/2) e^(-x/2) / Gamma(1/2+it-kappa) * integral of
-    e^(-xu) u^(it-kappa-1/2) (1+u)^(it+kappa-1/2) du`` (DLMF 13.16.5, its
+    ``W = x^(mu+1/2) e^(-x/2) / Gamma(1/2+mu-kappa) * integral of
+    e^(-xu) u^(mu-kappa-1/2) (1+u)^(mu+kappa-1/2) du`` (DLMF 13.16.5, its
     variable scaled by ``x``) by the trapezoidal rule in ``s``,
-    ``u = e^(s + i theta)``, at ``kappa0`` and ``kappa0 - 1`` (one block of
-    ``exp(-x u)`` serves both): ``kappa0 = kappa`` for ``kappa <= -1``,
-    else ``kappa - ceil(kappa) - 1``, in ``(-2, -1]``, and ``ceil(kappa) + 1``
+    ``u = e^(s + i theta)`` (``theta = _W_ROTATION`` for imaginary ``mu``,
+    ``0`` for real ``mu``, where the sums are real), at ``kappa0`` and
+    ``kappa0 - 1`` (one block of ``exp(-x u)`` serves both):
+    ``kappa0 = kappa`` for ``kappa <= -1``, else
+    ``kappa - ceil(kappa) - 1``, in ``(-2, -1]``, and ``ceil(kappa) + 1``
     steps of DLMF 13.15.11,
     ``W_{k+1} = (x - 2k) W_k + (mu^2 - (k - 1/2)^2) W_{k-1}``, climb to
     ``kappa``.  Starting at or below -1 keeps the left tail short.
     """
     steps = max(0, math.ceil(kappa) + 1)
     k0 = kappa - steps
-    mu = 1j * t
-    z = _W_STEP * np.arange(*_W_NODES) + 1j * _W_ROTATION
+    z = _W_STEP * np.arange(*_W_NODES)
+    if isinstance(mu, complex):
+        z = z + 1j * _W_ROTATION
     u = np.exp(z)
     # h u^(mu - k0 + 1/2) (1 + u)^(mu + k0 - 1/2): the integrand times du/ds,
     # less exp(-x u); one factor u / (1 + u) more lowers kappa by one
     c = _W_STEP * np.exp((mu - k0 + 0.5) * z + (mu + k0 - 0.5) * np.log1p(u))
     coeffs = (c, c * u / (1.0 + u))
-    sums = [np.empty(x.size, dtype=complex) for _ in coeffs]
+    sums = [np.empty(x.size, dtype=u.dtype) for _ in coeffs]
     rows = max(1, min(x.size, _W_BUDGET // u.size))
-    buf = np.empty((rows, u.size), dtype=complex)
+    buf = np.empty((rows, u.size), dtype=u.dtype)
     for lo in range(0, x.size, rows):
         block = buf[:min(rows, x.size - lo)]
         np.multiply.outer(-x[lo:lo + rows], u, out=block)
@@ -174,10 +190,11 @@ def _whittaker_w_imag(kappa: float, t: float, x: np.ndarray) -> np.ndarray:
     w_k, w_prev = (
         (np.exp(pref - sp.loggamma(0.5 + mu - k0 + j)) * total).real
         for j, total in enumerate(sums))
+    mu2 = (mu * mu).real
     k = k0
     for _ in range(steps):
         w_k, w_prev = ((x - 2.0 * k) * w_k
-                       - (t * t + (k - 0.5) ** 2) * w_prev), w_k
+                       + (mu2 - (k - 0.5) ** 2) * w_prev), w_k
         k += 1.0
     return w_k
 
@@ -188,36 +205,49 @@ def whittaker_w(kappa, mu, x):
     Accepts scalar or array ``x``, each finite and ``> 0``; returns
     complex128 (a complex scalar for scalar ``x``).
 
-    For real ``kappa`` and ``mu = i t`` with ``0 < |t| <= 4`` (the spectral
-    parameters of the continuous spectrum) and ``x >= 1e-12``, the value is
-    computed in float64, vectorized over ``x``: a trapezoidal rule on a
-    rotated Laplace integral at an order at or below -1, then the
-    contiguous relation in ``kappa`` up to ``kappa``.  There ``W`` is real,
-    and the imaginary part returned is exactly ``+0.0``.  Against mpmath at
-    30 digits the error stays below 1e-12 of the largest ``|W|`` over ``x``
-    in ``[1e-12, 1e3]`` (``kappa`` in ``[-2, 2]``, ``t`` in ``[0.3, 4]``);
-    pointwise relative error is larger near the zeros of the oscillating
-    ``W``.  A value depends on its own ``x`` only, not on the rest of the
-    batch.  Every other case (``mu`` not purely imaginary, complex
-    ``kappa``, ``|t| > 4``, ``x < 1e-12``) is evaluated elementwise through
-    mpmath at 30 digits, as is ``whittaker_m``.
+    For real ``kappa`` two cases are computed in float64, vectorized over
+    ``x``: a trapezoidal rule on the Laplace integral at an order at or
+    below -1, then the contiguous relation in ``kappa`` up to ``kappa``.
+    There ``W`` is real, and the imaginary part returned is exactly
+    ``+0.0``.  A value depends on its own ``x`` only, not on the rest of
+    the batch.
+
+    * ``mu = i t`` with ``0 < |t| <= 4`` (the spectral parameters of the
+      continuous spectrum) and ``x >= 1e-12``, on a rotated contour.
+      Against mpmath at 30 digits the error stays below 1e-12 of the
+      largest ``|W|`` over ``x`` in ``[1e-12, 1e3]`` (``kappa`` in
+      ``[-2, 2]``, ``t`` in ``[0.3, 4]``); pointwise relative error is
+      larger near the zeros of the oscillating ``W``.
+    * real ``mu`` with ``|mu| <= 2`` (the discrete and complementary
+      series; ``W_{kappa, -mu} = W_{kappa, mu}``) and ``x >= 1e-2``, on the
+      real axis.  Against mpmath at 30 digits the error stays below 1e-12
+      of the largest ``|W|`` over ``x`` in ``[1e-2, 1e3]`` (``kappa`` in
+      ``[-2, 2]``), and below 1e-12 relative past ``x = 30``.  Closer to
+      ``x = 0`` the climb in ``kappa`` cancels near ``kappa = mu + 1/2 + n``.
+
+    Every other case (``mu`` on neither axis, complex ``kappa``,
+    ``|t| > 4``, ``|mu| > 2``, ``x`` below the case's minimum) is
+    evaluated elementwise through mpmath at 30 digits, as is
+    ``whittaker_m``.
 
     Raises
     ------
     ValueError
         If an ``x`` is not finite or not positive.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _positive_x(x)
     flat = xs.ravel()
-    if not (np.isfinite(flat).all() and (flat > 0.0).all()):
-        raise ValueError("x must be finite and positive")
     out = np.zeros(flat.size, dtype=complex)
     by_rule = np.zeros(flat.size, dtype=bool)
     ka, m = complex(kappa), complex(mu)
+    rule_mu, x_min = None, 0.0
     if ka.imag == 0.0 and m.real == 0.0 and 0.0 < abs(m.imag) <= _W_T_MAX:
-        by_rule = flat >= _W_X_MIN
-        out.real[by_rule] = _whittaker_w_imag(ka.real, abs(m.imag),
-                                              flat[by_rule])
+        rule_mu, x_min = 1j * abs(m.imag), _W_X_MIN
+    elif ka.imag == 0.0 and m.imag == 0.0 and abs(m.real) <= _W_MU_MAX:
+        rule_mu, x_min = abs(m.real), _W_X_MIN_REAL
+    if rule_mu is not None:
+        by_rule = flat >= x_min
+        out.real[by_rule] = _whittaker_w_rule(ka.real, rule_mu, flat[by_rule])
     for i in np.flatnonzero(~by_rule):
         out[i] = _whit("w", kappa, mu, flat[i])
     if xs.ndim == 0:
@@ -225,9 +255,21 @@ def whittaker_w(kappa, mu, x):
     return out.reshape(xs.shape)
 
 
-def whittaker_m(kappa, mu, x):
-    """Recessive Whittaker function ``M_{kappa, mu}(x)`` (complex ``mu`` ok)."""
+def _positive_x(x) -> np.ndarray:
+    """``x`` as a float array, or ``ValueError`` unless every entry is
+    finite and positive."""
     xs = np.asarray(x, dtype=float)
+    if not (np.isfinite(xs).all() and (xs > 0.0).all()):
+        raise ValueError("x must be finite and positive")
+    return xs
+
+
+def whittaker_m(kappa, mu, x):
+    """Recessive Whittaker function ``M_{kappa, mu}(x)`` (complex ``mu`` ok).
+
+    Raises ``ValueError`` as :func:`whittaker_w`.
+    """
+    xs = _positive_x(x)
     out = np.empty(xs.shape, dtype=complex)
     for idx in np.ndindex(xs.shape):
         out[idx] = _whit("m", kappa, mu, xs[idx])
@@ -241,8 +283,9 @@ def whittaker_ode_residual(kappa, mu, x: float, which: str = "w") -> float:
 
     Evaluates ``f'' + (-1/4 + kappa/x + (1/4 - mu^2)/x^2) f`` in high
     precision for ``f = W`` or ``M`` and returns its magnitude, normalized
-    by ``max(1, |f(x)|)``.
+    by ``max(1, |f(x)|)``.  Raises ``ValueError`` as :func:`whittaker_w`.
     """
+    x = float(_positive_x(x))
     import mpmath as mp
 
     fun = {"w": mp.whitw, "m": mp.whitm}[which]

@@ -185,7 +185,7 @@ import numpy as np
 
 import strata.cli
 from strata.series import beta_bump, beta_norm_sq
-from strata.special import RadialProfile
+from strata.special import RadialProfile, whittaker_w
 from strata.sv import PlaneFunction, radial_fourier, sv_rel_values
 
 gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.0)
@@ -193,6 +193,9 @@ radial_fourier(gauss, 1.0, 9)
 plane = PlaneFunction(lambda z: np.exp(-np.abs(z) ** 2), 2.0)
 sv_rel_values(plane, [0.1], [1.1], [0.2], [0.3], 1)
 print(beta_norm_sq(beta_bump(0.7, 1.7), 2, 0.7, 1.7) > 0.0)
+x = np.linspace(0.5, 8.0, 5)
+print(np.allclose(whittaker_w(2.0, 1.5, x), x ** 2 * np.exp(-x / 2),
+                  rtol=1e-12, atol=0.0))
 print(sorted(m for m in ("scipy.interpolate", "scipy.integrate",
                          "scipy.optimize", "scipy.sparse", "mpmath")
              if m in sys.modules))
@@ -222,9 +225,10 @@ def _fresh_stdout(script):
 
 def test_start_up_leaves_first_use_modules_unloaded():
     """In a fresh interpreter, importing the CLI, one ``radial_fourier``,
-    one ``sv_rel_values`` and one ``beta_norm_sq`` call load none of the
-    modules that only fallbacks or single functions use."""
-    assert _fresh_stdout(_LAZY_IMPORTS)[:2] == ["True", "[]"]
+    one ``sv_rel_values``, one ``beta_norm_sq`` and one real-order
+    ``whittaker_w`` call inside its float64 domain load none of the modules
+    that only fallbacks or single functions use (``mpmath`` among them)."""
+    assert _fresh_stdout(_LAZY_IMPORTS)[:3] == ["True", "True", "[]"]
 
 
 def test_run_all_loads_no_scipy_integrate():

@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
@@ -16,7 +16,9 @@ from scipy.interpolate import CubicSpline
 from strata.special import (
     _BESSEL_BUDGET,
     _W_BUDGET,
+    _W_MU_MAX,
     _W_NODES,
+    _W_X_MIN_REAL,
     RadialProfile,
     _hankel_rule,
     _uniform_spline,
@@ -129,6 +131,57 @@ def test_whittaker_imaginary_order_matches_mpmath(kappa, t, log_x):
     assert np.all(got.imag.view(np.uint64) == 0)
 
 
+def _mp_whittaker_w_real(kappa, mu, xs):
+    """30-digit ``W_{kappa, mu}`` for real ``mu``.  Where ``1/2 + mu - kappa
+    = -n`` is a non-positive integer, ``W`` is the Laguerre polynomial
+    ``e^(-x/2) x^(mu+1/2) (-1)^n n! L_n^(2 mu)(x)`` (DLMF 13.14.3, 13.6.19),
+    whose exact zeros ``mpmath.whitw`` does not settle."""
+    n = kappa - mu - 0.5
+    if n < 0.0 or n != int(n):
+        return _mp_whittaker_w(kappa, mu, xs)
+    n = int(n)
+    with mp.workdps(30):
+        return np.array([complex(mp.exp(-x / 2) * mp.mpf(x) ** (mu + 0.5)
+                                 * (-1) ** n * mp.factorial(n)
+                                 * mp.laguerre(n, 2 * mu, x)) for x in xs])
+
+
+# the real-order domain, for the scale of each example's error
+_REAL_ORDER_GRID = np.geomspace(_W_X_MIN_REAL, 1e3, 25)
+_REAL_ORDER_EDGE = np.linspace(math.log(_W_X_MIN_REAL), math.log(1e3),
+                               12).tolist()
+
+
+@settings(max_examples=40)
+@example(kappa=2.0, mu=1.5, log_x=_REAL_ORDER_EDGE)
+@example(kappa=1.5, mu=1.0, log_x=_REAL_ORDER_EDGE)
+@example(kappa=-2.0, mu=_W_MU_MAX, log_x=_REAL_ORDER_EDGE)
+@given(kappa=st.sampled_from([j / 2.0 for j in range(-4, 5)] + [0.3, -1.7]),
+       mu=st.sampled_from([j / 2.0 for j in range(5)])
+       | st.floats(0.0, _W_MU_MAX),
+       log_x=st.lists(st.floats(math.log(_W_X_MIN_REAL), math.log(1e3)),
+                      min_size=12, max_size=12))
+def test_whittaker_real_order_matches_mpmath(kappa, mu, log_x):
+    # the float64 rule on the real axis against mpmath, relative to the
+    # largest |W| over the domain of x, and pointwise past x = 30.  Near
+    # kappa = mu + 1/2 + n (the half-integer pairs drawn) the climb in kappa
+    # cancels the small-x term of W; the domain's minimum keeps that below
+    # the bound, and the explicit examples sweep its edge at two such pairs.  W_{kappa, -mu} = W_{kappa, mu} bit for bit, and the
+    # imaginary part of the real W is exactly +0.0.
+    xs = np.maximum(np.exp(np.array(log_x)), _W_X_MIN_REAL)
+    got = whittaker_w(kappa, mu, xs)
+    want = _mp_whittaker_w_real(kappa, mu, xs)
+    scale = max(np.max(np.abs(want)), np.max(np.abs(
+        _mp_whittaker_w_real(kappa, mu, _REAL_ORDER_GRID))))
+    err = np.abs(got - want)
+    assert np.max(err) <= 1e-12 * scale
+    far = xs > 30.0
+    assert np.all(err[far] <= 1e-12 * np.abs(want[far]))
+    assert np.all(got.imag.view(np.uint64) == 0)
+    assert np.array_equal(got.view(np.uint64),
+                          whittaker_w(kappa, -mu, xs).view(np.uint64))
+
+
 def test_whittaker_kappa_recurrence():
     # DLMF 13.15.11, W_{k+1} = (x - 2k) W_k + (mu^2 - (k - 1/2)^2) W_{k-1},
     # builds every kappa > -1 from two quadratures; it holds for mpmath's
@@ -153,33 +206,39 @@ def test_whittaker_value_independent_of_batch():
     # the batch spans three (x, node) blocks; each value equals its
     # single-point call bit for bit, on both sides of each block edge
     rows = _W_BUDGET // (_W_NODES[1] - _W_NODES[0])
-    xs = np.geomspace(1e-12, 800.0, 2 * rows + 7)
-    for kappa in (-1.5, -0.5, 1.5):
-        batch = whittaker_w(kappa, 1.9j, xs)
-        for i in (0, rows - 1, rows, 2 * rows, xs.size - 1):
-            single = np.atleast_1d(whittaker_w(kappa, 1.9j, xs[i]))
-            assert np.array_equal(batch[i:i + 1].view(np.uint64),
-                                  single.view(np.uint64))
+    for mu, x_min in ((1.9j, 1e-12), (1.3, _W_X_MIN_REAL)):
+        xs = np.geomspace(x_min, 800.0, 2 * rows + 7)
+        for kappa in (-1.5, -0.5, 1.5):
+            batch = whittaker_w(kappa, mu, xs)
+            for i in (0, rows - 1, rows, 2 * rows, xs.size - 1):
+                single = np.atleast_1d(whittaker_w(kappa, mu, xs[i]))
+                assert np.array_equal(batch[i:i + 1].view(np.uint64),
+                                      single.view(np.uint64))
 
 
 def test_whittaker_memory_bounded():
     # 10^5 values in (x, node) blocks of a fixed budget (16 MiB); all of
-    # exp(-x u) at once would take about 570 MB
-    xs = np.geomspace(1e-3, 50.0, 100_000)
-    tracemalloc.start()
-    try:
-        whittaker_w(-0.5, 1.1j, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    # exp(-x u) at once would take about 570 MB (285 MB for real mu)
+    xs = np.geomspace(_W_X_MIN_REAL, 50.0, 100_000)
+    for mu in (1.1j, 0.7):
+        tracemalloc.start()
+        try:
+            whittaker_w(-0.5, mu, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 def test_whittaker_rejects_bad_x():
     for x in (-1.0, 0.0, math.nan, math.inf, [1.0, -2.0]):
-        for mu in (0.8j, 0.25):
-            with pytest.raises(ValueError, match="x must be"):
-                whittaker_w(1.0, mu, x)
+        for mu in (0.8j, 0.25, 3.5, 1.0 + 0.5j):
+            for fn in (whittaker_w, whittaker_m):
+                with pytest.raises(ValueError, match="x must be"):
+                    fn(1.0, mu, x)
+            if np.ndim(x) == 0:
+                with pytest.raises(ValueError, match="x must be"):
+                    whittaker_ode_residual(1.0, mu, x)
 
 
 # -- archimedean factor -----------------------------------------------------
