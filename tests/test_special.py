@@ -166,8 +166,9 @@ def test_whittaker_real_order_matches_mpmath(kappa, mu, log_x):
     # largest |W| over the domain of x, and pointwise past x = 30.  Near
     # kappa = mu + 1/2 + n (the half-integer pairs drawn) the climb in kappa
     # cancels the small-x term of W; the domain's minimum keeps that below
-    # the bound, and the explicit examples sweep its edge at two such pairs.  W_{kappa, -mu} = W_{kappa, mu} bit for bit, and the
-    # imaginary part of the real W is exactly +0.0.
+    # the bound, and the explicit examples sweep its edge at two such pairs.
+    # W_{kappa, -mu} = W_{kappa, mu} bit for bit, and the imaginary part of
+    # the real W is exactly +0.0.
     xs = np.maximum(np.exp(np.array(log_x)), _W_X_MIN_REAL)
     got = whittaker_w(kappa, mu, xs)
     want = _mp_whittaker_w_real(kappa, mu, xs)
@@ -219,8 +220,8 @@ def test_whittaker_value_independent_of_batch():
 def test_whittaker_memory_bounded():
     # 10^5 values in (x, node) blocks of a fixed budget (16 MiB); all of
     # exp(-x u) at once would take about 570 MB (285 MB for real mu)
-    xs = np.geomspace(_W_X_MIN_REAL, 50.0, 100_000)
-    for mu in (1.1j, 0.7):
+    for mu, x_min in ((1.1j, 1e-3), (0.7, _W_X_MIN_REAL)):
+        xs = np.geomspace(x_min, 50.0, 100_000)
         tracemalloc.start()
         try:
             whittaker_w(-0.5, mu, xs)
