@@ -2,14 +2,17 @@
 
     python3 bench/pair.py --base REV --out BENCH_<n>.json
 
-Exports ``REV`` with ``git archive`` into a temporary directory (removed
-afterwards) and runs each tree's own, unchanged ``perfbench/run.py`` on
-every workload of ``BENCHMARK.json`` for ``PAIRS`` pairs: pair ``i`` uses
-seed ``FIRST_SEED + i`` on both sides, and the side that runs first
-alternates from pair to pair, so a bias from run order shows in the medians
-split by order.  The count and the seeds are fixed, so every BENCH file
-compares the same runs.  The change side is the working tree
-of this checkout; ``head`` and ``dirty`` in the output say what it held.
+Exports ``REV`` with ``git archive`` into one temporary directory and
+copies the working tree of this checkout (its tracked files and its
+untracked files that git does not ignore, as they are on disk) into
+another, so both sides run from fresh trees that hold no earlier run's
+output; both are removed afterwards.  It runs each tree's own, unchanged
+``perfbench/run.py`` on every workload of ``BENCHMARK.json`` for ``PAIRS``
+pairs: pair ``i`` uses seed ``FIRST_SEED + i`` on both sides, and the side
+that runs first alternates from pair to pair, so a bias from run order
+shows in the medians split by order.  The count and the seeds are fixed,
+so every BENCH file compares the same runs.  ``head`` and ``dirty`` in the
+output say what the copied working tree held.
 
 The output holds the machine, the versions, both commits and every run.  For
 each workload it holds each side's attempted and failed op counts and its
@@ -42,6 +45,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,6 +72,19 @@ def _export(rev: str, dest: Path) -> None:
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, **safe)
+
+
+def _copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked files and its untracked files that
+    git does not ignore into ``dest``, as they are on disk; a tracked file
+    deleted from the working tree is left out."""
+    names = _git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _versions() -> dict:
@@ -188,9 +205,11 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     out = Path(args.out)
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        _export(record["base"], Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+    with (tempfile.TemporaryDirectory(prefix="bench-base-") as base,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change):
+        _export(record["base"], Path(base))
+        _copy_worktree(Path(change))
+        trees = {"base": Path(base), "change": Path(change)}
         for w in (wl["name"] for wl in spec["workloads"]):
             pairs = []
             times = {s: [] for s in SIDES}

@@ -1,8 +1,11 @@
 """The paired summary counts wins, losses and run order and gives each
-metric its verdict, as documented.
+metric its verdict, as documented; the change side runs from a fresh copy
+of the working tree.
 
     python3 -m pytest bench/test_pair.py
 """
+
+import subprocess
 
 import pair
 
@@ -111,3 +114,26 @@ def test_op_kind_medians_pool_the_runs_of_a_side(tmp_path):
         '{"correct": true, "op_times": [["a", 0.5]]}\n')
     assert pair._op_times(tmp_path, "w", 7) == [["a", 0.5]]
     assert pair._op_times(tmp_path, "w", 8) == []
+
+
+def test_change_side_is_a_fresh_copy_of_the_working_tree(tmp_path,
+                                                          monkeypatch):
+    # a checkout with a staged entry point, an untracked source file, one
+    # tracked file deleted from disk and an earlier run's ignored output
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    (repo / "perfbench" / "out").mkdir(parents=True)
+    (repo / ".gitignore").write_text("/perfbench/out/\n")
+    (repo / "perfbench" / "run.py").write_text("print('run')\n")
+    (repo / "perfbench" / "gone.py").write_text("")
+    (repo / "perfbench" / "out" / "w-seed1-trace0.json").write_text("{}\n")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "perfbench" / "gone.py").unlink()
+    (repo / "new.py").write_text("x = 1\n")
+    monkeypatch.setattr(pair, "ROOT", repo)
+    pair._copy_worktree(copy)
+    assert (copy / "perfbench" / "run.py").read_text() == "print('run')\n"
+    assert (copy / "new.py").is_file()
+    assert not (copy / "perfbench" / "gone.py").exists()
+    assert not (copy / "perfbench" / "out").exists()
+    assert not (copy / ".git").exists()

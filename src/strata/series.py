@@ -1,5 +1,4 @@
-"""Eisenstein and Poincare series attached to seed profiles, plus the
-classical non-holomorphic Eisenstein series with its completed form.
+"""Eisenstein and Poincare series attached to seed profiles.
 
 A seed of weight ``k`` and frequencies ``(n, m)`` is the function
 
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 
 from . import saff
 from .saff import (
@@ -64,9 +62,6 @@ __all__ = [
     "seed",
     "eisenstein",
     "poincare",
-    "classical_eisenstein",
-    "completed_eisenstein",
-    "completed_eisenstein_expansion",
 ]
 
 
@@ -351,52 +346,3 @@ def eisenstein(k: int, m: int, beta: BetaProfile,
                radius: int = 12) -> ModularFunction:
     """Eisenstein case of the series (seed frequency ``n = 0``)."""
     return poincare(k, 0, m, beta, radius)
-
-
-# ---------------------------------------------------------------------------
-# classical non-holomorphic Eisenstein series
-# ---------------------------------------------------------------------------
-
-
-def classical_eisenstein(tau: complex, s: complex, radius: int = 120) -> complex:
-    """Height-function Eisenstein series ``(1/2) sum' y^s / |c tau + d|^(2s)``.
-
-    The primed sum runs over coprime pairs with ``|c|, |d| <= radius``;
-    convergence requires ``Re(s) > 1``.
-    """
-    c, d = coprime_pairs(radius, radius)
-    return 0.5 * complex(np.sum(tau.imag ** s / np.abs(c * tau + d) ** (2 * s)))
-
-
-def _lambda_completed(w: complex) -> complex:
-    """Completed zeta ``pi^(-w/2) Gamma(w/2) zeta(w)`` (meromorphically),
-    through mpmath at 25 digits; mpmath is imported here, on first use."""
-    import mpmath as mp
-
-    with mp.workdps(25):
-        return complex(mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w))
-
-
-def completed_eisenstein(tau: complex, s: complex, radius: int = 120) -> complex:
-    """``pi^(-s) Gamma(s) zeta(2s) E(tau, s)`` by direct summation."""
-    return _lambda_completed(2 * s) * classical_eisenstein(tau, s, radius)
-
-
-def completed_eisenstein_expansion(tau: complex, s: complex,
-                                   n_terms: int = 40) -> complex:
-    """Fourier-Bessel expansion of the completed series.
-
-    ``Lambda(2s) y^s + Lambda(2-2s) y^(1-s) + 4 sqrt(y) sum_{n >= 1}
-    n^(s-1/2) sigma_{1-2s}(n) K_{s-1/2}(2 pi n y) cos(2 pi n x)``.  Valid for
-    all ``s`` away from the poles and manifestly symmetric under
-    ``s -> 1 - s``, which makes it the oracle for the functional equation.
-    """
-    x, y = tau.real, tau.imag
-    out = (_lambda_completed(2 * s) * y ** s
-           + _lambda_completed(2 - 2 * s) * y ** (1 - s))
-    for n in range(1, n_terms + 1):
-        sigma = sum(d ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
-        out += (4.0 * math.sqrt(y) * n ** (s - 0.5) * sigma
-                * complex(sp.kv(s - 0.5, 2 * math.pi * n * y))
-                * math.cos(2 * math.pi * n * x))
-    return complex(out)

@@ -59,7 +59,6 @@ from .saff import (
     _disc_rows,
     _runs,
     _sample_block,
-    coprime_pairs,
     element_from_iwasawa,
     element_to_point,
     reduce_arrays,
@@ -82,7 +81,6 @@ __all__ = [
     "sv_rel_modular",
     "sv_rel_invariant",
     "sv_abs_value",
-    "ktype_eisenstein",
     "sv_mean_mc",
     "sv_second_moment_mc",
     "radial_fourier",
@@ -364,42 +362,20 @@ def sv_rel_invariant(f: PlaneFunction, M: int) -> ModularFunction:
 
 
 # ---------------------------------------------------------------------------
-# absolute transform and the K-type Eisenstein identity
+# absolute transform
 # ---------------------------------------------------------------------------
 
 
 def sv_abs_value(f: PlaneFunction, pt: JacobiPoint) -> complex:
-    """Absolute transform: sum of ``f`` over primitive lattice vectors."""
+    """Absolute transform: sum of ``f`` over primitive lattice vectors.
+
+    Raises ``ValueError`` as :func:`sv_rel_values` for a coordinate that is
+    not finite or ``y <= 0``.
+    """
+    _check_points(x=pt.x, y=pt.y, u=pt.u, v=pt.v)
     t = MarkedTorus.from_point(pt)
     w = config_abs(t, f.support_radius)
     return complex(np.sum(f(w)))
-
-
-def ktype_eisenstein(k: int, psi: Callable, psi_support: tuple[float, float],
-                     tau: complex) -> complex:
-    """Direct coprime-pair sum ``sum (c tau + d)^k |c tau + d|^{-k}
-    psi(y / |c tau + d|^2)`` for compactly supported ``psi``.
-
-    Independent route to the absolute transform of
-    ``f0(r) = psi(1/r^2)`` of rotational type ``k``.
-    """
-    y = tau.imag
-    lo = psi_support[0]
-    if lo <= 0.0:
-        raise ValueError("psi support must be bounded away from zero")
-    nmax = y / lo
-    cmax = int(math.floor(math.sqrt(nmax) / y)) + 1
-    dmax = int(math.floor(cmax * abs(tau.real) + math.sqrt(nmax))) + 1
-    cc, dd = coprime_pairs(cmax, dmax)
-    j = cc * tau + dd
-    n2 = np.abs(j) ** 2
-    arg = y / n2
-    inside = (arg >= psi_support[0]) & (arg <= psi_support[1])
-    if not np.any(inside):
-        return 0.0 + 0.0j
-    j = j[inside]
-    vals = (j / np.abs(j)) ** k * np.asarray(psi(arg[inside]), dtype=complex)
-    return complex(np.sum(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ from strata.sv import (
     sv_second_moment_mc,
 )
 
+from oracles import mp_whittaker_ode_residual
+
 
 def _line(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -299,13 +301,17 @@ def test_a08_whittaker_layer():
     """Whittaker values satisfy the ODE to 1e-6; the small-argument
     expansion error scales like y^((3-k)/2); the Hankel transform is an
     involutive isometry to 1e-5."""
-    worst_ode = 0.0
+    # the library's W (its float64 rule at all four points) and, as a
+    # reference, mpmath's W and M
+    worst_ode = worst_mp = 0.0
     for (kappa, mu, x) in [(1.0, 0.8j, 2.0), (0.5, 1.3j, 0.7),
                            (1.0, 0.25, 9.0), (-1.5, 1.1j, 4.0)]:
-        worst_ode = max(worst_ode,
-                        whittaker_ode_residual(kappa, mu, x, "w"),
-                        whittaker_ode_residual(kappa, mu, x, "m"))
+        worst_ode = max(worst_ode, whittaker_ode_residual(kappa, mu, x))
+        worst_mp = max(worst_mp,
+                       mp_whittaker_ode_residual(kappa, mu, x, "w"),
+                       mp_whittaker_ode_residual(kappa, mu, x, "m"))
     assert worst_ode < 1e-6
+    assert worst_mp < 1e-6
 
     k, n, t = 2, 1, 0.8
     ys = np.logspace(-4.5, -1.5, 25)
@@ -339,7 +345,8 @@ def test_a08_whittaker_layer():
     inv = float(np.max(np.abs(back - prof(rs_chk)))
                 / np.max(np.abs(prof(rs_chk))))
     assert inv < 1e-5
-    _line(8, True, f"ODE {worst_ode:.1e}, slope {slope:.2f}, "
+    _line(8, True, f"ODE {worst_ode:.1e} (mpmath {worst_mp:.1e}), "
+                   f"slope {slope:.2f}, "
                    f"iso {iso:.1e}, inv {inv:.1e}")
 
 

@@ -7,11 +7,12 @@ stencil derivatives and the NAK chart's angle each come from one place, so
 a second copy of the interval map, of the operator loop or of the chart
 cannot creep back; and importing the
 CLI, then building a radial Fourier spline, evaluating a lattice sum and
-a seed norm, loads neither ``scipy.interpolate``, ``scipy.integrate``,
-``scipy.optimize``, ``scipy.sparse`` nor ``mpmath``, so a module-level
-import of a module that only one function needs cannot creep back into
-every process's start-up; nor does a whole ``strata all`` run load
-``scipy.integrate``."""
+a seed norm, a float64 Whittaker value and its ODE residual, loads neither
+``scipy.interpolate``, ``scipy.integrate``, ``scipy.optimize``,
+``scipy.sparse`` nor ``mpmath``, so a module-level import of a module that
+only one function needs cannot creep back into every process's start-up;
+``mpmath`` is imported at one site only; nor does a whole ``strata all``
+run load ``scipy.integrate``."""
 
 import ast
 import importlib
@@ -185,7 +186,7 @@ import numpy as np
 
 import strata.cli
 from strata.series import beta_bump, beta_norm_sq
-from strata.special import RadialProfile, whittaker_w
+from strata.special import RadialProfile, whittaker_ode_residual, whittaker_w
 from strata.sv import PlaneFunction, radial_fourier, sv_rel_values
 
 gauss = RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), 2.0)
@@ -196,6 +197,9 @@ print(beta_norm_sq(beta_bump(0.7, 1.7), 2, 0.7, 1.7) > 0.0)
 x = np.linspace(0.5, 8.0, 5)
 print(np.allclose(whittaker_w(2.0, 1.5, x), x ** 2 * np.exp(-x / 2),
                   rtol=1e-12, atol=0.0))
+print(max(whittaker_ode_residual(*p) for p in [
+    (1.0, 0.8j, 2.0), (0.5, 1.3j, 0.7), (1.0, 0.25, 9.0), (-1.5, 1.1j, 4.0)])
+      < 1e-6)
 print(sorted(m for m in ("scipy.interpolate", "scipy.integrate",
                          "scipy.optimize", "scipy.sparse", "mpmath")
              if m in sys.modules))
@@ -225,10 +229,42 @@ def _fresh_stdout(script):
 
 def test_start_up_leaves_first_use_modules_unloaded():
     """In a fresh interpreter, importing the CLI, one ``radial_fourier``,
-    one ``sv_rel_values``, one ``beta_norm_sq`` and one real-order
-    ``whittaker_w`` call inside its float64 domain load none of the modules
-    that only fallbacks or single functions use (``mpmath`` among them)."""
-    assert _fresh_stdout(_LAZY_IMPORTS)[:3] == ["True", "True", "[]"]
+    one ``sv_rel_values``, one ``beta_norm_sq``, one real-order
+    ``whittaker_w`` call inside its float64 domain and criterion 8's four
+    ODE residuals load none of the modules that only fallbacks or single
+    functions use (``mpmath`` among them)."""
+    assert _fresh_stdout(_LAZY_IMPORTS)[:4] == ["True", "True", "True", "[]"]
+
+
+def _import_sites(module):
+    """``file:function`` of each import of ``module`` (or of one of its
+    submodules) in the package, ``file:<module>`` at module level."""
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # breadth-first: an inner function overwrites its outer one
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == module for n in names):
+                sites.append(f"{path.name}:{owner.get(node, '<module>')}")
+    return sites
+
+
+def test_mpmath_is_imported_in_one_place():
+    """``mpmath`` is imported at exactly one site in the package, in
+    ``special._whit``, the Whittaker fallback: the package's other
+    high-precision routes are the tests' oracles (``tests/oracles.py``)."""
+    assert _import_sites("mpmath") == ["special.py:_whit"]
 
 
 def test_run_all_loads_no_scipy_integrate():

@@ -251,15 +251,28 @@ def test_left_action_composition_law():
                            [rhs.x, rhs.y, rhs.u, rhs.v], atol=1e-10)
 
 
-def test_slash_is_right_action():
+@st.composite
+def _saff_elements(draw):
+    """An element of ``SL2(R) ⋉ R²``: real entries with ``|a|`` in
+    ``[0.2, 5]``, ``b, c`` in ``[-3, 3]`` and ``d = (1 + b c) / a``, and a
+    translation in ``[-3, 3]²``."""
+    a = draw(st.floats(0.2, 5.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    b, c, w1, w2 = (draw(st.floats(-3.0, 3.0)) for _ in range(4))
+    return SAffElement(SL2Element(a, b, c, (1.0 + b * c) / a), (w1, w2))
+
+
+@settings(max_examples=200)
+@given(a=_saff_elements(), b=_saff_elements(), x=st.floats(-3.0, 3.0),
+       log_y=st.floats(-2.0, 2.0), u=st.floats(-3.0, 3.0),
+       v=st.floats(-3.0, 3.0))
+def test_slash_is_right_action(a, b, x, log_y, u, v):
     phi = ModularFunction(
         lambda x, y, u, v: np.exp(2j * math.pi * (x + v / y)) * y ** 1.3,
         weight=3)
-    pt = JacobiPoint(0.11, 0.8, -0.2, 0.5)
-    for a, b in zip(random_elements(10, 11), random_elements(10, 12)):
-        lhs = slash(slash(phi, a), b).at(pt)
-        rhs = slash(phi, a.compose(b)).at(pt)
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+    pt = JacobiPoint(x, 10.0 ** log_y, u, v)
+    lhs = slash(slash(phi, a), b).at(pt)
+    rhs = slash(phi, a.compose(b)).at(pt)
+    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 def test_lift_closed_form_on_nak_elements():

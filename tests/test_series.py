@@ -1,4 +1,4 @@
-"""Tests for the profile-seeded series and the classical Eisenstein layer.
+"""Tests for the profile-seeded series and the classical Eisenstein oracles.
 
 Oracles
 -------
@@ -43,13 +43,16 @@ from strata.series import (
     beta_norm_sq,
     beta_whittaker,
     beta_ypower,
-    classical_eisenstein,
-    completed_eisenstein,
-    completed_eisenstein_expansion,
     coset_list,
     eisenstein,
     poincare,
     seed,
+)
+
+from oracles import (
+    classical_eisenstein,
+    completed_eisenstein,
+    completed_eisenstein_expansion,
 )
 
 RNG_SEED = 20260823

@@ -29,10 +29,11 @@ from strata.special import (
     s_transform,
     t_transform,
     whittaker_asymptotic_smally,
-    whittaker_m,
     whittaker_ode_residual,
     whittaker_w,
 )
+
+from oracles import mp_whittaker_ode_residual, whittaker_m
 
 
 # -- gamma / bessel ---------------------------------------------------------
@@ -76,10 +77,13 @@ def test_bessel_order_two_recurrence_matches_jv():
 
 
 def test_whittaker_ode_residuals():
+    # mpmath's W and M to 1e-12, and the library's own W (its float64 rule
+    # at every point here, differenced in float64) to criterion 8's 1e-6
     for kappa, mu in [(1.0, 0.8j), (0.0, 1.3j), (-1.0, 0.5j), (0.5, 0.25)]:
         for x in (0.1, 1.0, 5.0, 20.0):
-            assert whittaker_ode_residual(kappa, mu, x, "w") < 1e-12
-            assert whittaker_ode_residual(kappa, mu, x, "m") < 1e-12
+            assert mp_whittaker_ode_residual(kappa, mu, x, "w") < 1e-12
+            assert mp_whittaker_ode_residual(kappa, mu, x, "m") < 1e-12
+            assert whittaker_ode_residual(kappa, mu, x) < 1e-6
 
 
 def test_whittaker_degenerate_closed_form():
@@ -240,6 +244,8 @@ def test_whittaker_rejects_bad_x():
             if np.ndim(x) == 0:
                 with pytest.raises(ValueError, match="x must be"):
                     whittaker_ode_residual(1.0, mu, x)
+                with pytest.raises(ValueError, match="x must be"):
+                    mp_whittaker_ode_residual(1.0, mu, x, "w")
 
 
 # -- archimedean factor -----------------------------------------------------
@@ -291,6 +297,13 @@ def test_smally_asymptotic_bound_at_k0():
     assert np.max(err / ys ** 1.5) < 1.0
     slope = np.polyfit(np.log(ys), np.log(err), 1)[0]
     assert slope > 1.4, slope
+
+
+def test_smally_asymptotic_rejects_bad_y():
+    # the expansion has no value at y <= 0, and none to return for nan or inf
+    for y in (-1.0, 0.0, math.nan, math.inf, [0.01, -0.02]):
+        with pytest.raises(ValueError, match="^y must be finite and positive"):
+            whittaker_asymptotic_smally(2, 1, 0.8, y)
 
 
 # -- hankel -----------------------------------------------------------------

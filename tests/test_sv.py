@@ -44,7 +44,6 @@ from strata.sv import (
     config_rel_M,
     dual_norm_sum_values,
     k_type_function,
-    ktype_eisenstein,
     plane_integral,
     plane_l2_norm_sq,
     radial_fourier,
@@ -61,6 +60,8 @@ from strata.sv import (
     sv_second_moment_exact_fibre,
     sv_second_moment_mc,
 )
+
+from oracles import ktype_eisenstein
 
 S_ELT = SAffElement.from_sl2(SL2Element(0.0, -1.0, 1.0, 0.0))
 T_ELT = SAffElement.from_sl2(SL2Element(1.0, 1.0, 0.0, 1.0))
@@ -283,10 +284,13 @@ def test_M_must_be_positive_integer(caller):
     (JacobiPoint(0.3, 1.0, 0.1, -math.inf), "v"),
 ])
 def test_sv_rel_rejects_invalid_points(pt, name):
-    # one input contract for every point-array evaluator: the transform,
-    # the dual-lattice sum (which reads only x and y) and the coset series
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        sv_rel_value(_gauss_plane(), pt, 1)
+    # one input contract for every point-array evaluator: the relative and
+    # absolute transforms, the dual-lattice sum (which reads only x and y)
+    # and the coset series
+    for evaluate in (lambda f: sv_rel_value(f, pt, 1),
+                     lambda f: sv_abs_value(f, pt)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            evaluate(_gauss_plane())
     ok = np.ones(3)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         eisenstein(2, 1, beta_bump(0.8, 1.6)).fn(
