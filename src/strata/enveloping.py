@@ -24,7 +24,9 @@ central element is produced and certified without floating point.
 The module also carries the representation of the algebra by polynomial-
 coefficient differential operators on the plane (right translation action on
 functions of a row vector ``(w1, w2)``), used to check that the degree-three
-Casimir acts by zero on polynomials.
+Casimir acts by zero on polynomials.  The structure constants are checked
+against commutators of the faithful 3x3 generator matrices, an oracle that
+the tests carry (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "GaussianRational",
@@ -40,7 +42,6 @@ __all__ = [
     "Element",
     "generator",
     "bracket",
-    "matrix_bracket",
     "pbw_normalize",
     "casimir_sl2",
     "casimir_saff",
@@ -145,8 +146,8 @@ GENERATORS = ("Z", "Xp", "Xm", "Yp", "Ym")
 _INDEX = {name: i for i, name in enumerate(GENERATORS)}
 
 # Structure constants [g_i, g_j] for i < j, as {generator index: coefficient}.
-# Derived from the commutators of the 3x3 matrices below; the test suite
-# recomputes every entry from the matrices.
+# Derived from the commutators of the faithful 3x3 matrices of the
+# generators; the test suite recomputes every entry from those matrices.
 _BRACKET_TABLE: dict[tuple[int, int], dict[int, GaussianRational]] = {
     (0, 1): {1: GaussianRational(2)},    # [Z, X+] = 2 X+
     (0, 2): {2: GaussianRational(-2)},   # [Z, X-] = -2 X-
@@ -352,72 +353,6 @@ def symmetrize(element: Element) -> Element:
 def is_central(element: Element) -> bool:
     """True iff ``element`` commutes with every generator (exact check)."""
     return all(bracket(generator(name), element).is_zero() for name in GENERATORS)
-
-
-# ---------------------------------------------------------------------------
-# 3x3 faithful matrices (oracle for the structure constants)
-# ---------------------------------------------------------------------------
-
-Matrix3 = tuple[tuple[GaussianRational, ...], ...]
-
-
-def _mat(rows: Iterable[Iterable]) -> Matrix3:
-    return tuple(tuple(_coerce(x) for x in row) for row in rows)
-
-
-#: Lie-algebra element (A, a) embedded as [[A, 0], [a, 0]]; the bottom row is
-#: the translation part, matching the group embedding (g, w) -> [[g, 0], [w, 1]].
-_GENERATOR_MATRICES: dict[str, Matrix3] = {
-    "Z": _mat([[0, -I, 0], [I, 0, 0], [0, 0, 0]]),
-    "Xp": _mat([[HALF, HALF * I, 0], [HALF * I, -HALF, 0], [0, 0, 0]]),
-    "Xm": _mat([[HALF, -HALF * I, 0], [-HALF * I, -HALF, 0], [0, 0, 0]]),
-    "Yp": _mat([[0, 0, 0], [0, 0, 0], [HALF, HALF * I, 0]]),
-    "Ym": _mat([[0, 0, 0], [0, 0, 0], [HALF, -HALF * I, 0]]),
-}
-
-
-def _mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(3)), GaussianRational())
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _mat_sub(a: Matrix3, b: Matrix3) -> Matrix3:
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
-
-
-def matrix_bracket(name_a: str, name_b: str) -> Matrix3:
-    """Commutator of two generator matrices (exact)."""
-    a, b = _GENERATOR_MATRICES[name_a], _GENERATOR_MATRICES[name_b]
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def bracket_in_basis(name_a: str, name_b: str) -> dict[str, GaussianRational]:
-    """Expand ``[a, b]`` (computed from matrices) in the five-generator basis.
-
-    The five generator matrices determine coordinates uniquely: writing the
-    commutator as (2x2 block ``f F + h H + g G``, bottom row ``p e1 + q e2``),
-    the complex basis coordinates are
-
-        z = i (f - g) / 2,   x+ = h - i (f + g) / 2,   x- = h + i (f + g) / 2,
-        y+ = p - i q,        y- = p + i q.
-    """
-    m = matrix_bracket(name_a, name_b)
-    f, h, g = m[0][1], m[0][0], m[1][0]
-    p, q = m[2][0], m[2][1]
-    half_i = HALF * I
-    coords = {
-        "Z": half_i * (f - g),
-        "Xp": h - half_i * (f + g),
-        "Xm": h + half_i * (f + g),
-        "Yp": p - I * q,
-        "Ym": p + I * q,
-    }
-    return {name: c for name, c in coords.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -555,8 +555,8 @@ def _disc_points(c_re, c_im, x, y, rho):
 # float64 point array).  Against 2^17, the coefficient tables of the
 # benchmark page-fault about twelve times less (sweep in CHANGES.md).
 _POINT_BUDGET = 1 << 15
-# Values one block of a Monte-Carlo estimate may hold, in whole batches
-# (a batch larger than this is a block of its own).  With runs of 2^15
+# Values one evaluation call of a Monte-Carlo estimate may return, in
+# whole batches (a larger batch is filled in parts).  With runs of 2^15
 # points, blocks of 2^16 samples took the peak RSS of ``strata all`` from
 # about 122 to 94 MB; blocks of 2^15 saved 3 MB more but made the
 # coefficient tables page-fault five times as often (sweep in CHANGES.md).
@@ -693,21 +693,33 @@ def _batch_estimate(block_values: Callable[[int, int], np.ndarray],
     axis, with the samples taken one block at a time.
 
     ``block_values(lo, hi)`` returns the values of samples ``[lo, hi)``,
-    ``width`` values per sample.  The ``n_batches`` batches of
-    ``n_samples // n_batches`` samples are asked for in blocks of whole
-    batches, at most ``_SAMPLE_BLOCK`` values each (a larger batch is a
-    block alone), and only each block's batch means are kept, so memory
-    is bounded by the block and not by ``n_samples``.  The remainder past
-    the last batch is never asked for.  A batch mean does not depend on
-    the blocks.  Returns two arrays of the values' trailing shape; raises
-    ``ValueError`` as :func:`_batch_size`, before any block is asked for.
+    ``width`` values per sample, and is asked for at most ``_SAMPLE_BLOCK``
+    values a call (one sample at least): in blocks of whole batches, of
+    which only the batch means are kept, or, for a batch over the block,
+    in near-equal parts filled into one buffer (never a short tail, whose
+    one-sample call can change bits).  So memory is bounded by the block,
+    or one batch, and not by ``n_samples``, and a batch mean does not
+    depend on the blocks.  The remainder past the last batch is never
+    asked for.  Returns two arrays of the values' trailing shape; raises
+    ``ValueError`` as :func:`_batch_size`, before any call.
     """
     size = _batch_size(n_samples, n_batches)
-    step = max(_SAMPLE_BLOCK // (size * width), 1) * size
+    per_call = max(_SAMPLE_BLOCK // width, 1)
+    step = max(per_call // size, 1) * size
+    parts = -(-size // per_call)   # calls per batch, 1 where it fits
     end = size * n_batches
     means = []
     for lo in range(0, end, step):
-        vals = block_values(lo, min(lo + step, end))
+        if parts == 1:
+            vals = block_values(lo, min(lo + step, end))
+        else:   # one batch, filled part by part
+            cuts = [lo + size * i // parts for i in range(parts + 1)]
+            first = block_values(lo, cuts[1])
+            vals = np.empty((size, *first.shape[1:]), first.dtype)
+            vals[:len(first)] = first
+            del first
+            for a, b in zip(cuts[1:-1], cuts[2:]):
+                vals[a - lo:b - lo] = block_values(a, b)
         means.append(vals.reshape(-1, size, *vals.shape[1:]).mean(axis=1))
         del vals   # freed before the next block is made
     return _batch_stats(np.concatenate(means))
@@ -725,8 +737,8 @@ def inner_product(phi1: ModularFunction, phi2: ModularFunction,
     taken over batch means.  The samples of
     ``sample_masur_veech(n_samples, seed, y_max)`` are drawn and evaluated
     one block at a time (:func:`_batch_estimate`), so memory is bounded by
-    the block.  A self-pairing (``phi2 is phi1``) evaluates the function
-    once.
+    the block or one batch.  A self-pairing (``phi2 is phi1``) evaluates
+    the function once.
 
     Raises
     ------

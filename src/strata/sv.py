@@ -390,10 +390,10 @@ def sv_mean_mc(f: PlaneFunction, M: int, n_samples: int = 1_000_000,
     Returns ``(estimate, stderr)``; the mean identity states the value
     ``M^2`` times the plane integral of ``f``.  The samples of
     ``sample_masur_veech(n_samples, seed, y_max)`` are drawn and summed
-    one block of whole batches at a time (``saff._batch_estimate``), so
-    memory is bounded by the block and not by ``n_samples``; a block drawn
-    alone is bitwise its slice of the full draw, so the estimate does not
-    depend on the blocks.
+    one block of whole batches at a time (``saff._batch_estimate``, at
+    most 2^16 values a call), so memory is bounded by the block or one
+    batch, not by ``n_samples``; a block drawn alone is bitwise its slice
+    of the full draw, so the estimate does not depend on the blocks.
     """
     _check_M(M)
 
@@ -655,11 +655,6 @@ def sv_adjoint(h: Callable[[SAffElement], complex], p_rows: np.ndarray,
     return VOLUME_SL2 * est, VOLUME_SL2 * err
 
 
-# Values per sub-block of the bump adjoint's fibre arithmetic, which holds
-# about eight arrays of the sub-block's size at once.
-_FIBRE_BLOCK = 1 << 16
-
-
 def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
                        n_samples: int = 40_000, seed: int = 5,
                        n_batches: int = 20, y_max: float = 1e3):
@@ -668,39 +663,31 @@ def sv_adjoint_of_bump(hb: FundamentalBump, p_rows: np.ndarray,
     Exploits that the base part of the coset element does not depend on
     the plane row: the base points of the samples are reduced together by
     :func:`~strata.saff.reduce_arrays`, and the fibre coordinates then
-    follow from the NAK chart for all rows at once.  The work runs one
-    block of whole batches at a time (``saff._batch_estimate``), and within
-    a block in sub-blocks of at most ``_FIBRE_BLOCK`` values (one sample at
-    least), so one block of values and the temporaries of one sub-block are
-    held.  Each value is bitwise the one of the whole block at once.
+    follow from the NAK chart for all rows at once.  The driver
+    (``saff._batch_estimate``) asks for at most 2^16 sample-by-row values
+    a call, so one block (or one larger batch) of values and one call's
+    temporaries are held, each value bitwise the one of the whole draw.
     Returns ``(values, stderrs)`` and raises as :func:`sv_adjoint`.
     """
     p_rows = _plane_rows(p_rows)
-    step = max(1, _FIBRE_BLOCK // p_rows.shape[0])
 
     def values(lo, hi):
         # one sample per row, against the plane rows along the columns
         a, b, c, d = (t[:, None] for t in
                       _stabilizer_cosets(n_samples, seed, y_max, lo, hi))
-        out = np.empty((hi - lo, p_rows.shape[0]))
-        for i in range(0, hi - lo, step):
-            s = slice(i, i + step)
-            # the point of each coset (g, p - (1, 0) g); its base point
-            # depends on g alone (one per sample), so it is reduced once
-            # for all rows
-            pt, _ = element_to_point(SAffElement(
-                SL2Element(a[s], b[s], c[s], d[s]),
-                (p_rows[:, 0] - a[s], p_rows[:, 1] - b[s])))
-            (x_r, y_r, _, _), gamma = reduce_arrays(pt.x, pt.y, 0.0, 0.0)
-            _, _, u, v, _ = _act_entries(*gamma, pt.x, pt.y, pt.u, pt.v)
-            del pt   # sub-block arrays go as soon as they are used
-            p = v / y_r
-            q = u - v * x_r / y_r
-            del u, v
-            p -= np.floor(p)
-            q -= np.floor(q)
-            out[s] = hb.formula(x_r, y_r, p, q)
-        return out
+        # the point of each coset (g, p - (1, 0) g); its base point depends
+        # on g alone (one per sample), so it is reduced once for all rows
+        pt, _ = element_to_point(SAffElement(
+            SL2Element(a, b, c, d), (p_rows[:, 0] - a, p_rows[:, 1] - b)))
+        (x_r, y_r, _, _), gamma = reduce_arrays(pt.x, pt.y, 0.0, 0.0)
+        _, _, u, v, _ = _act_entries(*gamma, pt.x, pt.y, pt.u, pt.v)
+        del pt   # the call's arrays go as soon as they are used
+        p = v / y_r
+        q = u - v * x_r / y_r
+        del u, v
+        p -= np.floor(p)
+        q -= np.floor(q)
+        return hb.formula(x_r, y_r, p, q)
 
     est, err = _batch_estimate(values, n_samples, n_batches, p_rows.shape[0])
     return (VOLUME_SL2 * est).astype(complex), VOLUME_SL2 * err

@@ -6,18 +6,24 @@ independent routes to values the package computes another way:
 * ``whittaker_m`` and ``mp_whittaker_ode_residual``: the recessive
   Whittaker function and the Whittaker equation's residual, both through
   mpmath, whose derivative is taken in high precision;
+* ``whittaker_w_bessel``: ``W_{0, mu}`` through the modified Bessel
+  function ``K_mu``;
 * the classical non-holomorphic Eisenstein series, summed directly and by
   its Fourier-Bessel expansion, for the functional equation;
 * ``ktype_eisenstein``: the direct coprime-pair sum that the absolute
-  Siegel--Veech transform of a K-type function equals.
+  Siegel--Veech transform of a K-type function equals;
+* ``bracket_in_basis``: the structure constants of the enveloping algebra
+  from commutators of the faithful 3x3 generator matrices.
 """
 
 import math
+from typing import Iterable
 
 import mpmath as mp
 import numpy as np
 from scipy import special as sp
 
+from strata.enveloping import HALF, I, GaussianRational, _coerce
 from strata.saff import coprime_pairs
 from strata.special import _positive_x
 
@@ -63,6 +69,15 @@ def mp_whittaker_ode_residual(kappa, mu, x: float, which: str) -> float:
         val = f(xx)
         res = d2 + (mp.mpf(-0.25) + ka / xx + (mp.mpf(0.25) - m2 ** 2) / xx ** 2) * val
         return float(abs(res) / max(1.0, abs(val)))
+
+
+def whittaker_w_bessel(mu, x: float) -> complex:
+    """``W_{0, mu}(x) = sqrt(x / pi) K_mu(x / 2)`` (DLMF 13.18.9), with
+    ``mpmath.besselk`` at 30 digits."""
+    with mp.workdps(_MP_DPS):
+        xx = mp.mpf(x)
+        return complex(mp.sqrt(xx / mp.pi)
+                       * mp.besselk(mp.mpmathify(mu), xx / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -142,3 +157,69 @@ def ktype_eisenstein(k: int, psi, psi_support: tuple[float, float],
     j = j[inside]
     vals = (j / np.abs(j)) ** k * np.asarray(psi(arg[inside]), dtype=complex)
     return complex(np.sum(vals))
+
+
+# ---------------------------------------------------------------------------
+# 3x3 faithful matrices of the special affine Lie algebra
+# ---------------------------------------------------------------------------
+
+Matrix3 = tuple[tuple[GaussianRational, ...], ...]
+
+
+def _mat(rows: Iterable[Iterable]) -> Matrix3:
+    return tuple(tuple(_coerce(x) for x in row) for row in rows)
+
+
+#: Lie-algebra element (A, a) embedded as [[A, 0], [a, 0]]; the bottom row is
+#: the translation part, matching the group embedding (g, w) -> [[g, 0], [w, 1]].
+_GENERATOR_MATRICES: dict[str, Matrix3] = {
+    "Z": _mat([[0, -I, 0], [I, 0, 0], [0, 0, 0]]),
+    "Xp": _mat([[HALF, HALF * I, 0], [HALF * I, -HALF, 0], [0, 0, 0]]),
+    "Xm": _mat([[HALF, -HALF * I, 0], [-HALF * I, -HALF, 0], [0, 0, 0]]),
+    "Yp": _mat([[0, 0, 0], [0, 0, 0], [HALF, HALF * I, 0]]),
+    "Ym": _mat([[0, 0, 0], [0, 0, 0], [HALF, -HALF * I, 0]]),
+}
+
+
+def _mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(3)), GaussianRational())
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+
+
+def _mat_sub(a: Matrix3, b: Matrix3) -> Matrix3:
+    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
+
+
+def matrix_bracket(name_a: str, name_b: str) -> Matrix3:
+    """Commutator of two generator matrices (exact)."""
+    a, b = _GENERATOR_MATRICES[name_a], _GENERATOR_MATRICES[name_b]
+    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+
+
+def bracket_in_basis(name_a: str, name_b: str) -> dict[str, GaussianRational]:
+    """Expand ``[a, b]`` (computed from matrices) in the five-generator basis.
+
+    The five generator matrices determine coordinates uniquely: writing the
+    commutator as (2x2 block ``f F + h H + g G``, bottom row ``p e1 + q e2``),
+    the complex basis coordinates are
+
+        z = i (f - g) / 2,   x+ = h - i (f + g) / 2,   x- = h + i (f + g) / 2,
+        y+ = p - i q,        y- = p + i q.
+    """
+    m = matrix_bracket(name_a, name_b)
+    f, h, g = m[0][1], m[0][0], m[1][0]
+    p, q = m[2][0], m[2][1]
+    half_i = HALF * I
+    coords = {
+        "Z": half_i * (f - g),
+        "Xp": h - half_i * (f + g),
+        "Xm": h + half_i * (f + g),
+        "Yp": p - I * q,
+        "Ym": p + I * q,
+    }
+    return {name: c for name, c in coords.items() if c}

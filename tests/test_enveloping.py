@@ -18,7 +18,6 @@ from strata.enveloping import (
     GENERATORS,
     GaussianRational,
     bracket,
-    bracket_in_basis,
     casimir_saff,
     casimir_sl2,
     euclidean_fol_identity_op,
@@ -28,6 +27,8 @@ from strata.enveloping import (
     pbw_normalize,
     symmetrize,
 )
+
+from oracles import bracket_in_basis
 
 GQ = GaussianRational
 

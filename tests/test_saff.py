@@ -6,6 +6,7 @@ closed-form value it must take on NAK-factored elements.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,6 +642,31 @@ def test_inner_product_of_known_function():
     other = ModularFunction(fn, weight=0)
     assert inner_product(one, other, n_samples=10_000, seed=1) == (val, err)
     assert calls == [10_000] * 3
+
+
+def test_inner_product_splits_an_oversized_batch(monkeypatch):
+    """Two batches of 2^19 samples each exceed the 2^16-value block: the
+    driver fills each batch in near-equal calls of at most a block, so the
+    peak is one batch of values plus one call's temporaries (13.7 MiB
+    measured; evaluating a batch whole peaked at 40.7 MiB), and the
+    estimate is bitwise the one of whole-batch calls."""
+    def fn(x, y, u, v):
+        return np.exp(2j * math.pi * (x + v / y)) / (1.0 + y)
+
+    wave = ModularFunction(fn, weight=0)
+    kw = dict(n_samples=1 << 20, seed=3, n_batches=2)
+    tracemalloc.start()
+    try:
+        est, err = inner_product(wave, wave, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    monkeypatch.setattr("strata.saff._SAMPLE_BLOCK", 1 << 20)
+    want = inner_product(wave, wave, **kw)
+    got = np.array([est.real, est.imag, err])
+    want = np.array([want[0].real, want[0].imag, want[1]])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_inner_product_weight_mismatch():

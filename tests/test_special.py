@@ -1,6 +1,7 @@
 """Special-function tests: every nontrivial evaluation has an independent
 oracle (integral representation, closed form, or high-precision residual)."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from scipy import integrate
 from scipy import special as sp
 from scipy.interpolate import CubicSpline
 
+from strata import special
 from strata.special import (
     _BESSEL_BUDGET,
     _W_BUDGET,
@@ -33,7 +35,8 @@ from strata.special import (
     whittaker_w,
 )
 
-from oracles import mp_whittaker_ode_residual, whittaker_m
+from oracles import (mp_whittaker_ode_residual, whittaker_m,
+                     whittaker_w_bessel)
 
 
 # -- gamma / bessel ---------------------------------------------------------
@@ -86,13 +89,37 @@ def test_whittaker_ode_residuals():
             assert whittaker_ode_residual(kappa, mu, x) < 1e-6
 
 
-def test_whittaker_degenerate_closed_form():
-    """W_{kappa, kappa - 1/2}(x) = x^kappa exp(-x/2)."""
+def test_whittaker_degenerate_closed_form(monkeypatch):
+    """W_{kappa, kappa - 1/2}(x) = x^kappa exp(-x/2), on the float64 rule
+    and on the mpmath fallback: complex kappa, mu on neither axis,
+    |mu| > 2 and x below the real-order minimum.  One real-kappa point
+    with |t| > 4 is checked against W_{0, mu}(x) = sqrt(x/pi) K_mu(x/2)."""
     for kappa in (1.0, 2.0, 1.5):
         for x in (0.2, 1.0, 7.0):
             want = x ** kappa * math.exp(-x / 2)
             got = whittaker_w(kappa, kappa - 0.5, x)
             assert abs(got - want) < 1e-12 * abs(want)
+    calls = []
+
+    def spy(kappa, mu, x):
+        calls.append((kappa, mu, x))
+        return fallback(kappa, mu, x)
+
+    fallback = special._whit
+    monkeypatch.setattr(special, "_whit", spy)
+    for kappa, xs in ((0.5 + 5j, (0.2, 1.0, 7.0)), (1 + 0.5j, (0.2, 1.0, 7.0)),
+                      (3.0, (0.2, 1.0, 7.0)), (1.5, (1e-3,))):
+        for x in xs:
+            calls.clear()
+            want = x ** kappa * cmath.exp(-x / 2)
+            got = whittaker_w(kappa, kappa - 0.5, x)
+            assert calls == [(kappa, kappa - 0.5, x)]
+            assert abs(got - want) < 1e-12 * abs(want)
+    calls.clear()
+    got = whittaker_w(0.0, 5j, 0.8)
+    want = whittaker_w_bessel(5j, 0.8)
+    assert calls == [(0.0, 5j, 0.8)]
+    assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_whittaker_w_decays_m_grows():
@@ -484,6 +511,9 @@ def test_substitutions_invert():
 @given(n_grid=st.integers(2, 600), rho_max=st.floats(0.5, 8.0),
        start=st.sampled_from([0.0, -0.75, 0.3]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n_grid=2, rho_max=1.0, start=0.0, seed=1)
+@example(n_grid=3, rho_max=2.5, start=-0.75, seed=2)   # the parabola
+@example(n_grid=4, rho_max=4.0, start=0.3, seed=3)
 def test_uniform_spline_matches_scipy_bitwise(n_grid, rho_max, start, seed):
     rng = np.random.default_rng(seed)
     grid = np.linspace(start, start + rho_max, n_grid)

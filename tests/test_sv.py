@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -466,6 +466,32 @@ def test_sv_invariant_completion_nonzero_type():
         assert dev < 1e-11 * np.max(np.abs(base))
 
 
+# the letters of the generated words: S, T, T^-1 and the unit translations
+_LETTERS = (S_ELT, T_ELT, T_ELT.inverse(),
+            *(SAffElement(SL2Element(1.0, 0.0, 0.0, 1.0), w)
+              for w in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@settings(max_examples=40)
+@given(word=st.lists(st.integers(0, len(_LETTERS) - 1), min_size=1,
+                     max_size=12),
+       x=st.floats(-0.5, 0.5), log_y=st.floats(-3.0, 6.0),
+       u=st.floats(0.0, 1.0), v_over_y=st.floats(-2.0, 2.0))
+def test_sv_invariant_completion_on_generated_words(k, word, x, log_y, u,
+                                                   v_over_y):
+    """``y^{k/2} SV_2(f)`` of a K-type-k function is fixed by the slash of
+    every integral word, at heights from 1e-3 to 1e6."""
+    phi = sv_rel_invariant(k_type_function(_ring_profile(), k), 2)
+    gamma = functools.reduce(SAffElement.compose,
+                             (_LETTERS[i] for i in word))
+    y = 10.0 ** log_y
+    pt = (np.array([x]), np.array([y]), np.array([u]), np.array([v_over_y * y]))
+    base = phi.fn(*pt)[0]
+    moved = slash(phi, gamma).fn(*pt)[0]
+    assert abs(moved - base) <= 1e-9 * max(1.0, abs(base))
+
+
 # ---------------------------------------------------------------------------
 # fibre Fourier coefficients
 # ---------------------------------------------------------------------------
@@ -479,6 +505,8 @@ def test_sv_coefficients_match_prediction():
         (2, 2, 1, _ring_profile()),
         (2, 2, -1, _ring_profile()),
         (1, 1, 2, _ring_profile()),
+        (-1, 1, 2, _ring_profile()),    # negative K-types take the
+        (-2, 2, -1, _ring_profile()),   # sign of J_{-k} = (-1)^k J_k
     ]
     for k, M, m, f0 in cases:
         phi = sv_rel_modular(k_type_function(f0, k), M)
@@ -809,9 +837,10 @@ def test_sv_adjoint_of_bump_holds_one_block():
 
 def test_sv_adjoint_of_bump_fibre_work_is_sub_blocked():
     """One block of a11's call holds its 2000 x 192 values (2.9 MiB) and
-    the fibre arithmetic of one sub-block: the peak stays below four times
-    the block (about 2.8 times is measured).  Done on the whole block at
-    once, the fibre arithmetic peaked at 8.2 times the block (23.9 MiB)."""
+    the fibre arithmetic of one call, which the batch-means driver caps at
+    2^16 values: the peak stays below four times the block (about 2.4
+    times is measured).  Done on the whole block at once, the fibre
+    arithmetic peaked at 8.2 times the block (23.9 MiB)."""
     rows = _a11_rows()
     block = 2000 * rows.shape[0] * 8
     tracemalloc.start()
